@@ -9,12 +9,7 @@ spectral resampling and mosaicking.
 """
 
 from .affine import AffineParams, affine_to_displacement, register_affine
-from .curvature import (
-    SemiImplicitOperator,
-    bilaplacian,
-    curvature_energy,
-    semi_implicit_solve,
-)
+from .curvature import SemiImplicitOperator, bilaplacian, curvature_energy
 from .errors import (
     DegenerateImageError,
     DivergenceError,
@@ -53,7 +48,6 @@ from .geo import (
 from .grid import (
     DisplacementField,
     GridGeometry,
-    Pyramid,
     ScalarImage,
     build_pyramid,
     displacement_to_geometry,
@@ -96,7 +90,6 @@ __all__ = [
     "ParameterError",
     "PhotoMetadata",
     "PlacementError",
-    "Pyramid",
     "RegistrationConfig",
     "RegistrationTrace",
     "ScalarImage",
@@ -135,7 +128,6 @@ __all__ = [
     "run_experiment",
     "sample",
     "select_band",
-    "semi_implicit_solve",
     "semi_implicit_step",
     "ssd",
     "synthetic_texture",

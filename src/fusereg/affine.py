@@ -20,6 +20,7 @@ from .grid import (
     DisplacementField,
     GridGeometry,
     ScalarImage,
+    _check_normalized,
     _pixel_grid,
     _require_same_shape,
     build_pyramid,
@@ -31,7 +32,6 @@ from .nonparametric import (
     LevelTrace,
     RegistrationConfig,
     RegistrationTrace,
-    _check_normalized,
     _distance,
 )
 from .optimize import minimize_lbfgs

@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -37,13 +37,25 @@ from .grid import (
     resample_to_geometry,
     warp,
 )
-from .nonparametric import RegistrationConfig, register_multilevel
+from .nonparametric import SOLVERS, RegistrationConfig, register_multilevel
 
 log = logging.getLogger("fusereg")
 
 PRESETS = {
     "hs-to-lidar": {"alpha": 5000.0, "eta": 0.1},
     "photo-to-hs": {"alpha": 1.5e5, "eta": 0.03},
+}
+
+# registration flag (argparse dest) -> RegistrationConfig field
+CONFIG_FLAGS = {
+    "measure": "measure",
+    "alpha": "alpha",
+    "eta": "eta",
+    "solver": "solver",
+    "levels": "max_levels",
+    "max_iters": "max_iters_per_level",
+    "tol": "rel_tolerance",
+    "dt": "dt",
 }
 
 USAGE_EXIT = 2
@@ -108,7 +120,7 @@ def _registration_flags(parser):
     parser.add_argument("--eta", type=float, help="NGF noise floor")
     parser.add_argument(
         "--solver",
-        choices=("semi-implicit", "l-bfgs", "gauss-newton", "trust-region"),
+        choices=SOLVERS,
         help="non-parametric solver (default l-bfgs)",
     )
     parser.add_argument("--levels", type=int, help="pyramid levels (default 4)")
@@ -118,44 +130,15 @@ def _registration_flags(parser):
 
 
 def _build_config(args, alpha_override=None) -> RegistrationConfig:
-    base = RegistrationConfig()
-    preset = PRESETS.get(args.preset) if getattr(args, "preset", None) else None
-
-    def pick(flag, preset_key, default):
-        if flag is not None:
-            return flag
-        if preset is not None and preset_key in preset:
-            return preset[preset_key]
-        return default
-
-    cfg = RegistrationConfig(
-        measure=args.measure if args.measure is not None else base.measure,
-        alpha=pick(args.alpha, "alpha", base.alpha),
-        eta=pick(args.eta, "eta", base.eta),
-        solver=args.solver if args.solver is not None else base.solver,
-        max_levels=args.levels if args.levels is not None else base.max_levels,
-        max_iters_per_level=args.max_iters
-        if args.max_iters is not None
-        else base.max_iters_per_level,
-        rel_tolerance=args.tol if args.tol is not None else base.rel_tolerance,
-        dt=args.dt if args.dt is not None else base.dt,
-    )
+    """Dataclass defaults, then the preset, then every flag that was given."""
+    values = dict(PRESETS.get(args.preset, {}))
+    for flag, name in CONFIG_FLAGS.items():
+        if getattr(args, flag) is not None:
+            values[name] = getattr(args, flag)
+    cfg = RegistrationConfig(**values)
     if alpha_override is not None:
         cfg = replace(cfg, alpha=alpha_override)
     return cfg
-
-
-def _config_dict(cfg: RegistrationConfig) -> dict:
-    return {
-        "measure": cfg.measure,
-        "alpha": cfg.alpha,
-        "eta": cfg.eta,
-        "solver": cfg.solver,
-        "dt": cfg.dt,
-        "max_levels": cfg.max_levels,
-        "max_iters_per_level": cfg.max_iters_per_level,
-        "rel_tolerance": cfg.rel_tolerance,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +215,7 @@ def cmd_register(args) -> int:
         "register",
         {"ref": args.ref, "tpl": args.tpl},
         outputs,
-        dict(_config_dict(cfg), method=args.method),
+        dict(asdict(cfg), method=args.method),
         args.seed,
         args.threads_resolved,
     )
@@ -327,7 +310,7 @@ def cmd_mosaic(args) -> int:
         "tiles": [
             {"path": p, "alpha": a} for p, a in specs
         ],
-        "registration": _config_dict(_build_config(args)),
+        "registration": asdict(_build_config(args)),
     }
     _write_manifest(
         args.out + ".manifest.json",

@@ -13,6 +13,8 @@ values transferable across pyramid levels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -67,10 +69,10 @@ class SemiImplicitOperator:
     """
 
     def __init__(self, geometry: GridGeometry, alpha: float, dt: float):
-        if alpha <= 0.0:
-            raise ParameterError("alpha must be positive")
-        if dt <= 0.0:
-            raise ParameterError("dt must be positive")
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ParameterError("alpha must be finite and positive")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ParameterError("dt must be finite and positive")
         self.geometry = geometry
         self.alpha = float(alpha)
         self.dt = float(dt)
@@ -87,14 +89,8 @@ class SemiImplicitOperator:
         return DisplacementField(u.geometry, ax, ay)
 
     def solve(self, rhs: DisplacementField) -> DisplacementField:
+        """Solve (I + dt * alpha * B) u = rhs."""
         shape = self.geometry.shape
         sx = self._lu.solve(rhs.u_x.ravel()).reshape(shape)
         sy = self._lu.solve(rhs.u_y.ravel()).reshape(shape)
         return DisplacementField(rhs.geometry, sx, sy)
-
-
-def semi_implicit_solve(
-    operator: SemiImplicitOperator, rhs: DisplacementField
-) -> DisplacementField:
-    """Solve (I + dt * alpha * B) u = rhs."""
-    return operator.solve(rhs)

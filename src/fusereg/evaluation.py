@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -23,6 +23,7 @@ from .grid import (
     DisplacementField,
     GridGeometry,
     ScalarImage,
+    _pixel_grid,
     normalize_intensity,
     warp,
 )
@@ -104,7 +105,7 @@ class SyntheticDeformation:
     def realized(self, geometry: GridGeometry) -> DisplacementField:
         """The field sampled on the grid (centre norm equals the amplitude
         for the non-affine kinds)."""
-        ys, xs = np.mgrid[0.0 : geometry.height, 0.0 : geometry.width]
+        xs, ys = _pixel_grid(geometry)
         ux, uy = self.evaluate(xs, ys, geometry)
         return DisplacementField(geometry, ux, uy)
 
@@ -114,7 +115,7 @@ class SyntheticDeformation:
         Solves u*(x) = -u_d(z), z = x + u_d(z) by fixed point (closed form
         for affine deformations).
         """
-        ys, xs = np.mgrid[0.0 : geometry.height, 0.0 : geometry.width]
+        xs, ys = _pixel_grid(geometry)
         if self.kind == "affine":
             p = self.params
             a_inv = np.linalg.inv(p.matrix)
@@ -203,7 +204,7 @@ def checkerboard(a: ScalarImage, b: ScalarImage, tiles: int = 8) -> ScalarImage:
     if tiles < 1:
         raise ParameterError("tiles must be >= 1")
     h, w = a.geometry.shape
-    ys, xs = np.mgrid[0:h, 0:w]
+    xs, ys = _pixel_grid(a.geometry)
     cell_h = max(h // tiles, 1)
     cell_w = max(w // tiles, 1)
     take_a = ((ys // cell_h) + (xs // cell_w)) % 2 == 0
@@ -260,22 +261,9 @@ class MetricReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "method": self.method,
-            "measure": self.measure,
-            "epe_mean": self.epe_mean,
-            "epe_median": self.epe_median,
-            "epe_p95": self.epe_p95,
-            "epe_max": self.epe_max,
-            "mad_registered": self.mad_registered,
-            "mad_unregistered": self.mad_unregistered,
-            "final_objective": self.final_objective,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "failed": self.failed,
-            "error": self.error,
-        }
+        out = asdict(self)
+        del out["wall_time"]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -62,9 +62,10 @@ class LidarPointCloud:
             raise FormatError("point record arrays differ in length")
         if self.return_number.size and (
             not np.issubdtype(self.return_number.dtype, np.number)
+            or not np.isfinite(self.return_number).all()
             or (np.asarray(self.return_number, dtype=np.float64) < 1).any()
         ):
-            raise FormatError("return numbers must be >= 1")
+            raise FormatError("return numbers must be finite and >= 1")
         self.return_number = np.asarray(self.return_number, dtype=np.int64)
         if (self.intensity < 0).any():
             raise FormatError("intensities must be non-negative")
@@ -72,6 +73,8 @@ class LidarPointCloud:
             self.agc = np.asarray(self.agc, dtype=np.float64)
             if self.agc.size != n:
                 raise FormatError("point record arrays differ in length")
+            if not np.isfinite(self.agc).all():
+                raise FormatError("agc contains non-finite entries")
         if n == 0:
             raise FormatError("point cloud is empty")
 

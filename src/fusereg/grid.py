@@ -14,12 +14,12 @@ Conventions used throughout the toolbox:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateImageError, GeometryError, ParameterError
+from .errors import DegenerateImageError, GeometryError, IntensityRangeError, ParameterError
 
 COARSEST_MIN_DIM = 32
 
@@ -174,19 +174,6 @@ class DisplacementField:
         return float(np.sqrt(np.max(self.u_x * self.u_x + self.u_y * self.u_y)))
 
 
-@dataclass
-class Pyramid:
-    """Multilevel stack; ``levels[0]`` is the finest resolution."""
-
-    levels: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
-
-
 def _require_same_shape(a: GridGeometry, b: GridGeometry, what: str):
     if a.shape != b.shape:
         raise GeometryError(
@@ -201,10 +188,12 @@ def _require_same_shape(a: GridGeometry, b: GridGeometry, what: str):
 def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     """Vectorized bilinear sampling.
 
-    Returns (sampled values, invalid flags).  Out-of-domain points are
-    flagged unless ``edge_clamp`` is set, in which case coordinates are
-    clamped to the grid hull.  A point is also invalid when any neighbour
-    with nonzero interpolation weight is masked.
+    Returns (sampled values, invalid flags, cell), where cell holds the
+    in-cell fractions and the four corner values ``(fx, fy, v00, v10, v01,
+    v11)``.  Out-of-domain points are flagged unless ``edge_clamp`` is set,
+    in which case coordinates are clamped to the grid hull.  A point is
+    also invalid when any neighbour with nonzero interpolation weight is
+    masked.
     """
     h, w = values.shape
     xc = np.clip(xs, 0.0, w - 1.0)
@@ -217,12 +206,11 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     w10 = fx * (1.0 - fy)
     w01 = (1.0 - fx) * fy
     w11 = fx * fy
-    v = (
-        w00 * values[y0, x0]
-        + w10 * values[y0, x0 + 1]
-        + w01 * values[y0 + 1, x0]
-        + w11 * values[y0 + 1, x0 + 1]
-    )
+    v00 = values[y0, x0]
+    v10 = values[y0, x0 + 1]
+    v01 = values[y0 + 1, x0]
+    v11 = values[y0 + 1, x0 + 1]
+    v = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
     if edge_clamp:
         bad = np.zeros(np.shape(v), dtype=bool)
     else:
@@ -236,41 +224,7 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
             + w11 * m[y0 + 1, x0 + 1]
         )
         bad = bad | (touched > 0.0)
-    return v, bad
-
-
-def _bilinear_with_jacobian(values, mask, xs, ys):
-    """Bilinear sample plus in-cell partial derivatives wrt the sample point."""
-    h, w = values.shape
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc), w - 2).astype(np.int64)
-    y0 = np.minimum(np.floor(yc), h - 2).astype(np.int64)
-    fx = xc - x0
-    fy = yc - y0
-    v00 = values[y0, x0]
-    v10 = values[y0, x0 + 1]
-    v01 = values[y0 + 1, x0]
-    v11 = values[y0 + 1, x0 + 1]
-    v = (
-        (1.0 - fx) * (1.0 - fy) * v00
-        + fx * (1.0 - fy) * v10
-        + (1.0 - fx) * fy * v01
-        + fx * fy * v11
-    )
-    dvdx = (1.0 - fy) * (v10 - v00) + fy * (v11 - v01)
-    dvdy = (1.0 - fx) * (v01 - v00) + fx * (v11 - v10)
-    bad = (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
-    if mask is not None:
-        m = mask.astype(np.float64)
-        touched = (
-            (1.0 - fx) * (1.0 - fy) * m[y0, x0]
-            + fx * (1.0 - fy) * m[y0, x0 + 1]
-            + (1.0 - fx) * fy * m[y0 + 1, x0]
-            + fx * fy * m[y0 + 1, x0 + 1]
-        )
-        bad = bad | (touched > 0.0)
-    return v, dvdx, dvdy, bad
+    return v, bad, (fx, fy, v00, v10, v01, v11)
 
 
 def _nearest_arrays(values, mask, xs, ys):
@@ -286,6 +240,24 @@ def _nearest_arrays(values, mask, xs, ys):
     return v, bad
 
 
+def _sample_arrays(image: ScalarImage, xs, ys, mode: str):
+    """Sample ``image`` at pixel coordinates; returns (values, invalid flags)."""
+    if mode == "bilinear":
+        v, bad, _ = _bilinear_arrays(image.values, image.nodata, xs, ys)
+        return v, bad
+    if mode == "nearest":
+        return _nearest_arrays(image.values, image.nodata, xs, ys)
+    raise ParameterError("unknown sampling mode %r" % mode)
+
+
+def _sample_field(u: DisplacementField, xs, ys):
+    """Both components of ``u`` sampled bilinearly at pixel coordinates,
+    edge clamped."""
+    ux, _, _ = _bilinear_arrays(u.u_x, None, xs, ys, edge_clamp=True)
+    uy, _, _ = _bilinear_arrays(u.u_y, None, xs, ys, edge_clamp=True)
+    return ux, uy
+
+
 def sample(image: ScalarImage, x: float, y: float, mode: str = "bilinear"):
     """Sample one point in pixel coordinates.
 
@@ -296,12 +268,7 @@ def sample(image: ScalarImage, x: float, y: float, mode: str = "bilinear"):
         raise ParameterError("sample point must be finite")
     xs = np.asarray([float(x)])
     ys = np.asarray([float(y)])
-    if mode == "bilinear":
-        v, bad = _bilinear_arrays(image.values, image.nodata, xs, ys)
-    elif mode == "nearest":
-        v, bad = _nearest_arrays(image.values, image.nodata, xs, ys)
-    else:
-        raise ParameterError("unknown sampling mode %r" % mode)
+    v, bad = _sample_arrays(image, xs, ys, mode)
     if bad[0]:
         return 0.0, False
     return float(v[0]), True
@@ -322,12 +289,7 @@ def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> Sc
     xs, ys = _pixel_grid(u.geometry)
     px = xs - u.u_x
     py = ys - u.u_y
-    if mode == "bilinear":
-        v, bad = _bilinear_arrays(image.values, image.nodata, px, py)
-    elif mode == "nearest":
-        v, bad = _nearest_arrays(image.values, image.nodata, px, py)
-    else:
-        raise ParameterError("unknown sampling mode %r" % mode)
+    v, bad = _sample_arrays(image, px, py, mode)
     return ScalarImage(u.geometry, v, bad if bad.any() else None)
 
 
@@ -344,31 +306,28 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField, edge_clamp: boo
     nodata.
     """
     _require_same_shape(image.geometry, u.geometry, "warp")
+    if edge_clamp and image.nodata is not None:
+        raise ParameterError("edge-clamped warp needs a gap-free image")
     xs, ys = _pixel_grid(u.geometry)
     px = xs - u.u_x
     py = ys - u.u_y
+    v, bad, (fx, fy, v00, v10, v01, v11) = _bilinear_arrays(
+        image.values, image.nodata, px, py, edge_clamp
+    )
+    dvdx = (1.0 - fy) * (v10 - v00) + fy * (v11 - v01)
+    dvdy = (1.0 - fx) * (v01 - v00) + fx * (v11 - v10)
     if edge_clamp:
-        if image.nodata is not None:
-            raise ParameterError("edge-clamped warp needs a gap-free image")
-        h, w = image.geometry.shape
-        v, dvdx, dvdy, _ = _bilinear_with_jacobian(
-            image.values, None, np.clip(px, 0.0, w - 1.0), np.clip(py, 0.0, h - 1.0)
-        )
         # a clamped coordinate no longer responds to u, so its derivative
         # vanishes
+        h, w = image.geometry.shape
         dvdx = np.where((px < 0.0) | (px > w - 1.0), 0.0, dvdx)
         dvdy = np.where((py < 0.0) | (py > h - 1.0), 0.0, dvdy)
-        bad = np.zeros(v.shape, dtype=bool)
-        return ScalarImage(u.geometry, v, None), dvdx, dvdy, bad
-    v, dvdx, dvdy, bad = _bilinear_with_jacobian(image.values, image.nodata, px, py)
-    if bad.any():
+    elif bad.any():
         v = np.where(bad, 0.0, v)
         dvdx = np.where(bad, 0.0, dvdx)
         dvdy = np.where(bad, 0.0, dvdy)
-        warped = ScalarImage(u.geometry, v, bad)
-    else:
-        warped = ScalarImage(u.geometry, v, None)
-    return warped, dvdx, dvdy, bad
+        return ScalarImage(u.geometry, v, bad), dvdx, dvdy, bad
+    return ScalarImage(u.geometry, v, None), dvdx, dvdy, bad
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +436,12 @@ def downsample(image: ScalarImage) -> ScalarImage:
     return ScalarImage(g, vals, empty)
 
 
-def build_pyramid(image: ScalarImage, max_levels: int = 8) -> Pyramid:
+def build_pyramid(image: ScalarImage, max_levels: int = 8) -> list[ScalarImage]:
     """Coarsen by 2x2 box averages until the next level would drop below a
-    32-pixel minimum dimension or ``max_levels`` is reached."""
+    32-pixel minimum dimension or ``max_levels`` is reached.
+
+    Returns the levels finest first.
+    """
     if max_levels < 1:
         raise ParameterError("max_levels must be >= 1")
     levels = [image]
@@ -488,7 +450,7 @@ def build_pyramid(image: ScalarImage, max_levels: int = 8) -> Pyramid:
         if math.ceil(g.width / 2) < COARSEST_MIN_DIM or math.ceil(g.height / 2) < COARSEST_MIN_DIM:
             break
         levels.append(downsample(levels[-1]))
-    return Pyramid(levels)
+    return levels
 
 
 def prolong(u: DisplacementField, fine_geometry: GridGeometry) -> DisplacementField:
@@ -506,10 +468,7 @@ def prolong(u: DisplacementField, fine_geometry: GridGeometry) -> DisplacementFi
             % (fine_geometry.shape, cg.shape)
         )
     xs, ys = _pixel_grid(fine_geometry)
-    px = xs / 2.0
-    py = ys / 2.0
-    ux, _ = _bilinear_arrays(u.u_x, None, px, py, edge_clamp=True)
-    uy, _ = _bilinear_arrays(u.u_y, None, px, py, edge_clamp=True)
+    ux, uy = _sample_field(u, xs / 2.0, ys / 2.0)
     return DisplacementField(fine_geometry, 2.0 * ux, 2.0 * uy)
 
 
@@ -552,6 +511,16 @@ def normalize_intensity(image: ScalarImage) -> ScalarImage:
     return image.with_values(out)
 
 
+def _check_normalized(image: ScalarImage, what: str):
+    """Reject valid intensities outside [0, 1] (see :func:`normalize_intensity`)."""
+    vals = image.values[image.valid_mask]
+    if vals.size and (vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9):
+        raise IntensityRangeError(
+            "%s intensities must be normalized to [0, 1] (range [%g, %g])"
+            % (what, vals.min(), vals.max())
+        )
+
+
 def resample_to_geometry(
     image: ScalarImage, geometry: GridGeometry, mode: str = "bilinear"
 ) -> ScalarImage:
@@ -563,12 +532,7 @@ def resample_to_geometry(
     xs, ys = _pixel_grid(geometry)
     e, n = geometry.pixel_to_world(xs, ys)
     px, py = image.geometry.world_to_pixel(e, n)
-    if mode == "bilinear":
-        v, bad = _bilinear_arrays(image.values, image.nodata, px, py)
-    elif mode == "nearest":
-        v, bad = _nearest_arrays(image.values, image.nodata, px, py)
-    else:
-        raise ParameterError("unknown sampling mode %r" % mode)
+    v, bad = _sample_arrays(image, px, py, mode)
     return ScalarImage(geometry, np.where(bad, 0.0, v), bad if bad.any() else None)
 
 
@@ -582,9 +546,7 @@ def displacement_to_geometry(
     """
     xs, ys = _pixel_grid(geometry)
     e, n = geometry.pixel_to_world(xs, ys)
-    px, py = u.geometry.world_to_pixel(e, n)
-    ux, _ = _bilinear_arrays(u.u_x, None, px, py, edge_clamp=True)
-    uy, _ = _bilinear_arrays(u.u_y, None, px, py, edge_clamp=True)
+    ux, uy = _sample_field(u, *u.geometry.world_to_pixel(e, n))
     sx = u.geometry.spacing_x / geometry.spacing_x
     sy = u.geometry.spacing_y / geometry.spacing_y
     return DisplacementField(geometry, ux * sx, uy * sy)

@@ -14,6 +14,7 @@ variant, or Gauss-Newton with per-pixel Hessian blocks.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -21,10 +22,10 @@ import numpy as np
 
 from . import similarity
 from .curvature import SemiImplicitOperator, bilaplacian, curvature_energy
-from .errors import DivergenceError, IntensityRangeError, ParameterError
+from .errors import DivergenceError, ParameterError
 from .grid import (
     DisplacementField,
-    ScalarImage,
+    _check_normalized,
     _require_same_shape,
     build_pyramid,
     fill_nodata,
@@ -33,7 +34,7 @@ from .grid import (
     prolong,
     warp_with_jacobian,
 )
-from .optimize import ARMIJO_C1, MAX_BACKTRACKS, minimize_lbfgs
+from .optimize import armijo_backtrack, minimize_lbfgs
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +69,9 @@ class RegistrationConfig:
         if self.solver not in SOLVERS:
             raise ParameterError("unknown solver %r" % self.solver)
         for name in ("alpha", "eta", "dt", "trust_radius"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError("%s must be positive" % name)
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError("%s must be finite and positive" % name)
         if not (0.0 < self.rel_tolerance < 1.0):
             raise ParameterError("rel_tolerance must lie in (0, 1)")
         if self.max_levels < 1 or self.max_iters_per_level < 1:
@@ -144,15 +146,6 @@ class RegistrationTrace:
         return "\n".join(self.to_lines()) + "\n"
 
 
-def _check_normalized(image: ScalarImage, what: str):
-    vals = image.values[image.valid_mask]
-    if vals.size and (vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9):
-        raise IntensityRangeError(
-            "%s must be normalized to [0, 1] before registration (range [%g, %g])"
-            % (what, vals.min(), vals.max())
-        )
-
-
 def _distance(warped, reference, config):
     return similarity.evaluate(
         config.measure,
@@ -164,15 +157,21 @@ def _distance(warped, reference, config):
     )
 
 
-def _objective_full(u, template, reference, config):
-    """Objective value, its two terms, and the gradient field.
+def _warped_distance(u, template, reference, config):
+    """Distance of the warped template to the reference, plus the warp's
+    Jacobian: ``(result, dtdx, dtdy)``.
 
     The template must be gap free (see :func:`fill_nodata`); it is sampled
     with edge clamping so the objective stays continuous in u.  The
     distance is evaluated over the reference's static valid mask.
     """
     warped, dtdx, dtdy, _ = warp_with_jacobian(template, u, edge_clamp=True)
-    res = _distance(warped, reference, config)
+    return _distance(warped, reference, config), dtdx, dtdy
+
+
+def _objective_full(u, template, reference, config):
+    """Objective value, its two terms, and the gradient field."""
+    res, dtdx, dtdy = _warped_distance(u, template, reference, config)
     s_val = curvature_energy(u)
     j = res.value + config.alpha * s_val
     breg = bilaplacian(u)
@@ -183,8 +182,7 @@ def _objective_full(u, template, reference, config):
 
 def _objective_parts(u, template, reference, config):
     """Objective value and terms without the gradient (cheaper)."""
-    warped, _, _, _ = warp_with_jacobian(template, u, edge_clamp=True)
-    res = _distance(warped, reference, config)
+    res, _, _ = _warped_distance(u, template, reference, config)
     s_val = curvature_energy(u)
     return res.value + config.alpha * s_val, res.value, s_val
 
@@ -200,12 +198,8 @@ def objective(u, template, reference, config):
 
 
 def _distance_force(u, template, reference, config):
-    """Force field f = dD/du (no regularizer part).
-
-    Template must be gap free, as in :func:`_objective_full`.
-    """
-    warped, dtdx, dtdy, _ = warp_with_jacobian(template, u, edge_clamp=True)
-    res = _distance(warped, reference, config)
+    """Force field f = dD/du (no regularizer part)."""
+    res, dtdx, dtdy = _warped_distance(u, template, reference, config)
     fx = -res.d_warped * dtdx
     fy = -res.d_warped * dtdy
     return DisplacementField(u.geometry, fx, fy)
@@ -343,6 +337,12 @@ def _register_gauss_newton(template, reference, u0, config, trace):
     geometry = u0.geometry
     n = geometry.width * geometry.height
     shape = geometry.shape
+
+    def trial(x):
+        u_t = DisplacementField.from_vector(geometry, x)
+        j_t, d_t, s_t, grad_t = _objective_full(u_t, template, reference, config)
+        return j_t, (u_t, d_t, s_t, grad_t)
+
     u = u0
     j, d_val, s_val, grad = _objective_full(u, template, reference, config)
     trace.records.append(IterationRecord(0, j, d_val, s_val, 0.0))
@@ -369,32 +369,19 @@ def _register_gauss_newton(template, reference, u0, config, trace):
             delta = -g_vec
             slope = float(np.sum(g_vec * delta))
 
-        def backtrack(direction, direction_slope):
-            t = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                u_t = DisplacementField.from_vector(
-                    geometry, u.as_vector() + t * direction
-                )
-                j_t, d_t, s_t, grad_t = _objective_full(
-                    u_t, template, reference, config
-                )
-                if np.isfinite(j_t) and j_t <= j + ARMIJO_C1 * t * direction_slope:
-                    return u_t, j_t, d_t, s_t, grad_t
-                t *= 0.5
-            return None
-
-        hit = backtrack(delta, slope)
+        x = u.as_vector()
+        hit, _ = armijo_backtrack(trial, x, j, delta, slope)
         if hit is None and not np.array_equal(delta, -g_vec):
             # the quadratic model can be useless where the interpolant kinks
             # (integer-aligned u); steepest descent still gets off the spot
-            hit = backtrack(-g_vec, -float(np.sum(g_vec * g_vec)))
+            hit, _ = armijo_backtrack(trial, x, j, -g_vec, -float(np.sum(g_vec * g_vec)))
         if hit is None:
             # neither direction found a decrease: working-precision
             # stationary point (or a kink minimum), same stop rule as the
             # quasi-Newton line search
             trace.converged = True
             break
-        u_try, j_try, d_try, s_try, grad_try = hit
+        _, _, j_try, (u_try, d_try, s_try, grad_try) = hit
         step = _step_norm(u_try, u)
         u, j_prev = u_try, j
         j, d_val, s_val, grad = j_try, d_try, s_try, grad_try

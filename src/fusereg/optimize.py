@@ -61,6 +61,33 @@ def _two_loop(gradient: np.ndarray, pairs, h0_solve=None) -> np.ndarray:
     return -q
 
 
+def armijo_backtrack(fun, x, f, d, slope, t=1.0):
+    """Halving Armijo line search from ``x`` along the descent direction ``d``.
+
+    Tries ``x + t d`` for t, t/2, ... (at most ``MAX_BACKTRACKS`` times) and
+    accepts the first trial whose value ``fun(x_try)[0]`` is finite and at
+    most ``f + ARMIJO_C1 * t * slope``.  A trial at which ``fun`` raises
+    :class:`FuseRegError` has left the measure's domain and is rejected
+    like any other.  Returns ``(hit, n_evals)``: ``hit`` is ``(t, x_try,
+    value, rest)`` for the accepted trial, ``rest`` being the second item
+    ``fun`` returned, or None; ``n_evals`` counts the evaluations that
+    returned.
+    """
+    n_evals = 0
+    for _ in range(MAX_BACKTRACKS):
+        x_try = x + t * d
+        try:
+            f_try, rest = fun(x_try)
+            n_evals += 1
+        except FuseRegError:
+            t *= 0.5
+            continue
+        if np.isfinite(f_try) and f_try <= f + ARMIJO_C1 * t * slope:
+            return (t, x_try, f_try, rest), n_evals
+        t *= 0.5
+    return None, n_evals
+
+
 def minimize_lbfgs(
     fun_grad,
     x0: np.ndarray,
@@ -114,24 +141,9 @@ def minimize_lbfgs(
             t = min(1.0, 1.0 / d_inf)
         if step_cap is not None and d_inf * t > step_cap:
             t = step_cap / d_inf
-        accepted = False
-        f_new = f
-        g_new = g
-        for _ in range(MAX_BACKTRACKS):
-            x_try = x + t * d
-            try:
-                f_try, g_try = fun_grad(x_try)
-                n_evals += 1
-            except FuseRegError:
-                # trial point left the measure's domain; shrink and retry
-                t *= 0.5
-                continue
-            if np.isfinite(f_try) and f_try <= f + ARMIJO_C1 * t * slope:
-                accepted = True
-                f_new, g_new = f_try, g_try
-                break
-            t *= 0.5
-        if not accepted:
+        hit, evals = armijo_backtrack(fun_grad, x, f, d, slope, t)
+        n_evals += evals
+        if hit is None:
             # No decrease within the backtrack budget.  With an exact
             # gradient this only happens at a working-precision stationary
             # point or at a kink of the sampled objective (integer-aligned
@@ -139,6 +151,7 @@ def minimize_lbfgs(
             # direction set gets, so stop rather than diverge.
             converged = True
             break
+        t, x_try, f_new, g_new = hit
         step = t * d
         s = step
         y = g_new - g

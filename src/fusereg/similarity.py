@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateImageError,
-    IntensityRangeError,
-    ParameterError,
-)
+from .errors import DegenerateImageError, ParameterError
 from .grid import (
     ScalarImage,
+    _check_normalized,
     _require_same_shape,
     gradient_axis,
     gradient_axis_adjoint,
@@ -89,15 +86,6 @@ def ncc(template_w: ScalarImage, reference: ScalarImage) -> SimilarityResult:
 # mutual information
 
 
-def _check_unit_range(image: ScalarImage, what: str):
-    vals = image.values[image.valid_mask]
-    if vals.size and (vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9):
-        raise IntensityRangeError(
-            "%s intensities must lie in [0, 1]; got [%g, %g]"
-            % (what, vals.min(), vals.max())
-        )
-
-
 def _parzen_weights(c: np.ndarray, bins: int, sigma: float):
     """Per-pixel window weights over histogram bins.
 
@@ -139,8 +127,8 @@ def mi(
         raise ParameterError("mi needs at least 8 bins")
     if parzen_sigma < 0:
         raise ParameterError("parzen_sigma must be >= 0")
-    _check_unit_range(template_w, "template")
-    _check_unit_range(reference, "reference")
+    _check_normalized(template_w, "template")
+    _check_normalized(reference, "reference")
     m = _joint_mask(template_w, reference)
     n = int(np.sum(m))
     if n == 0:

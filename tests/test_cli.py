@@ -1,5 +1,6 @@
 """Command line workflow, exit codes and manifests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from fusereg.affine import AffineParams, affine_to_displacement
 from fusereg.cli import main
 from fusereg.evaluation import synthetic_texture
 from fusereg.grid import GridGeometry, ScalarImage, warp
+from fusereg.nonparametric import RegistrationConfig
 from fusereg.raster_io import read_field, read_image, read_raster, write_image
 
 
@@ -110,6 +112,8 @@ def test_register_nonparametric_outputs(tmp_path):
     manifest = json.loads((tmp_path / "run" / "reg.manifest.json").read_text())
     assert manifest["config"]["measure"] == "SSD"
     assert manifest["config"]["method"] == "np"
+    for f in dataclasses.fields(RegistrationConfig):
+        assert f.name in manifest["config"], f.name
 
 
 def test_register_affine_outputs(tmp_path):
@@ -192,10 +196,11 @@ def test_register_missing_input_exits_3(tmp_path):
 
 def test_register_bad_flag_value_exits_2(tmp_path):
     ref, tpl = write_pair(tmp_path)
-    assert run(
-        "register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "x",
-        "--alpha", "-5",
-    ) == 2
+    for bad in ("-5", "nan", "inf"):
+        assert run(
+            "register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "x",
+            "--alpha", bad,
+        ) == 2, bad
 
 
 def test_register_rerun_is_byte_identical(tmp_path):

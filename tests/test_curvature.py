@@ -8,7 +8,6 @@ from fusereg.curvature import (
     bilaplacian,
     curvature_energy,
     laplacian_matrix,
-    semi_implicit_solve,
 )
 from fusereg.errors import ParameterError
 from fusereg.grid import (
@@ -95,7 +94,7 @@ def test_operator_solve_then_apply_roundtrip(rng):
     g = GridGeometry(64, 64)
     op = SemiImplicitOperator(g, alpha=5000.0, dt=0.25)
     rhs = random_field(g, rng)
-    u = semi_implicit_solve(op, rhs)
+    u = op.solve(rhs)
     back = op.apply(u)
     res = np.linalg.norm(back.as_vector() - rhs.as_vector())
     assert res / np.linalg.norm(rhs.as_vector()) < 1e-8
@@ -112,7 +111,7 @@ def test_operator_matches_explicit_formula(geom16, rng):
 def test_operator_passes_affine_through(geom_small):
     op = SemiImplicitOperator(geom_small, alpha=1000.0, dt=1.0)
     u = affine_field(geom_small)
-    out = semi_implicit_solve(op, u)
+    out = op.solve(u)
     np.testing.assert_allclose(out.u_x, u.u_x, atol=1e-10)
     np.testing.assert_allclose(out.u_y, u.u_y, atol=1e-10)
 
@@ -120,7 +119,7 @@ def test_operator_passes_affine_through(geom_small):
 def test_operator_contracts_rough_fields(geom16, rng):
     op = SemiImplicitOperator(geom16, alpha=100.0, dt=1.0)
     u = random_field(geom16, rng)
-    out = semi_implicit_solve(op, u)
+    out = op.solve(u)
     assert curvature_energy(out) < curvature_energy(u)
     assert np.linalg.norm(out.as_vector()) <= np.linalg.norm(u.as_vector()) + 1e-12
 
@@ -130,3 +129,8 @@ def test_operator_parameter_validation(geom16):
         SemiImplicitOperator(geom16, alpha=0.0, dt=1.0)
     with pytest.raises(ParameterError):
         SemiImplicitOperator(geom16, alpha=1.0, dt=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            SemiImplicitOperator(geom16, alpha=bad, dt=1.0)
+        with pytest.raises(ParameterError):
+            SemiImplicitOperator(geom16, alpha=1.0, dt=bad)

@@ -62,6 +62,11 @@ def test_cloud_validation():
         tiny_cloud(intensity=np.array([10.0, -1.0, 5.0, 2.0]))
     with pytest.raises(FormatError):
         tiny_cloud(return_number=np.array([1, 0, 1, 1]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FormatError):
+            tiny_cloud(return_number=np.array([1.0, bad, 1.0, 1.0]))
+        with pytest.raises(FormatError):
+            tiny_cloud(agc=np.array([1.0, bad, 1.0, 1.0]))
     with pytest.raises(FormatError):
         tiny_cloud(elevation=np.array([1.0, np.nan, 2.0, 3.0]))
     with pytest.raises(FormatError):
@@ -112,6 +117,12 @@ def test_from_csv_errors(tmp_path):
     with pytest.raises(FormatError):
         LidarPointCloud.from_csv(p)
     p.write_text("1,2,3,4,1\n1,2,three,4,1\n")  # bad number mid-file
+    with pytest.raises(FormatError):
+        LidarPointCloud.from_csv(p)
+    p.write_text("1,2,3,4,1\n1,2,3,4,nan\n")  # non-finite return number
+    with pytest.raises(FormatError):
+        LidarPointCloud.from_csv(p)
+    p.write_text("1,2,3,4,1,0.5\n1,2,3,4,1,inf\n")  # non-finite agc
     with pytest.raises(FormatError):
         LidarPointCloud.from_csv(p)
 

@@ -8,7 +8,6 @@ from fusereg.grid import (
     COARSEST_MIN_DIM,
     DisplacementField,
     GridGeometry,
-    Pyramid,
     ScalarImage,
     build_pyramid,
     displacement_to_geometry,
@@ -380,7 +379,7 @@ def test_pyramid_level_count_and_geometry():
 def test_pyramid_preserves_constant():
     g = GridGeometry(96, 96)
     pyr = build_pyramid(ScalarImage(g, np.full(g.shape, 3.25)))
-    for level in pyr.levels:
+    for level in pyr:
         np.testing.assert_allclose(level.values, 3.25, atol=1e-12)
 
 
@@ -534,10 +533,3 @@ def test_displacement_to_geometry_rescales_pixel_units():
     # same physical motion, half as many (twice as large) pixels
     np.testing.assert_allclose(out.u_x, 2.0, atol=1e-12)
     np.testing.assert_allclose(out.u_y, 1.0, atol=1e-12)
-
-
-def test_pyramid_container_indexing(geom16):
-    img = ScalarImage(geom16, np.zeros(geom16.shape))
-    p = Pyramid([img, img])
-    assert len(p) == 2
-    assert p[1] is img

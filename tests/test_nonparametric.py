@@ -45,6 +45,14 @@ def test_config_rejects_unknown_names():
     ("eta", -1.0),
     ("dt", 0.0),
     ("trust_radius", -2.0),
+    ("alpha", float("nan")),
+    ("alpha", float("inf")),
+    ("eta", float("nan")),
+    ("eta", float("inf")),
+    ("dt", float("nan")),
+    ("dt", float("inf")),
+    ("trust_radius", float("nan")),
+    ("trust_radius", float("inf")),
     ("rel_tolerance", 0.0),
     ("rel_tolerance", 1.5),
     ("max_levels", 0),

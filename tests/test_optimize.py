@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fusereg.errors import DivergenceError
-from fusereg.optimize import minimize_lbfgs
+from fusereg.errors import DivergenceError, ParameterError
+from fusereg.optimize import armijo_backtrack, minimize_lbfgs
 
 
 def quadratic(diag):
@@ -102,6 +102,21 @@ def test_exhausted_line_search_reports_convergence():
     res = minimize_lbfgs(fg, np.array([1.0]), max_iters=100, rel_tolerance=1e-16)
     assert res.converged
     assert res.fun <= 1.0
+
+
+def test_backtrack_halves_past_trials_that_raise():
+    # trial points beyond |x| = 1 leave the domain; the search halves past
+    # them and counts only the evaluations that returned
+
+    def fun(x):
+        if abs(x[0]) > 1.0:
+            raise ParameterError("outside the domain")
+        return float(x[0] * x[0] - 2.0 * x[0]), "rest"
+
+    hit, n_evals = armijo_backtrack(fun, np.zeros(1), 0.0, np.array([4.0]), -8.0)
+    t, x_try, value, rest = hit
+    assert (t, x_try[0], value, rest) == (0.25, 1.0, -1.0, "rest")
+    assert n_evals == 1
 
 
 def test_iteration_budget_respected(rng):
