@@ -170,14 +170,15 @@ def _warped_distance(u, template, reference, config):
 
 
 def _objective_full(u, template, reference, config):
-    """Objective value, its two terms, and the gradient field."""
+    """Objective value, its two terms, the gradient field, and the warp's
+    Jacobian ``(dtdx, dtdy)``."""
     res, dtdx, dtdy = _warped_distance(u, template, reference, config)
     s_val = curvature_energy(u)
     j = res.value + config.alpha * s_val
     breg = bilaplacian(u)
     gx = -res.d_warped * dtdx + config.alpha * breg.u_x
     gy = -res.d_warped * dtdy + config.alpha * breg.u_y
-    return j, res.value, s_val, DisplacementField(u.geometry, gx, gy)
+    return j, res.value, s_val, DisplacementField(u.geometry, gx, gy), (dtdx, dtdy)
 
 
 def _objective_parts(u, template, reference, config):
@@ -193,7 +194,7 @@ def objective(u, template, reference, config):
     _require_same_shape(reference.geometry, u.geometry, "objective")
     _check_normalized(template, "template")
     _check_normalized(reference, "reference")
-    j, _, _, grad = _objective_full(u, fill_nodata(template), reference, config)
+    j, _, _, grad, _ = _objective_full(u, fill_nodata(template), reference, config)
     return j, grad
 
 
@@ -235,13 +236,8 @@ def _rel_change_small(f_prev, f_new, tol) -> bool:
 
 
 def _register_semi_implicit(template, reference, u0, config, trace):
-    operators = {}
-
-    def get_op(dt):
-        if dt not in operators:
-            operators[dt] = SemiImplicitOperator(u0.geometry, config.alpha, dt)
-        return operators[dt]
-
+    # dt only ever halves, so only the operator for the current dt is kept
+    operator = None
     u = u0
     j, d_val, s_val = _objective_parts(u, template, reference, config)
     trace.records.append(IterationRecord(0, j, d_val, s_val, 0.0))
@@ -249,8 +245,11 @@ def _register_semi_implicit(template, reference, u0, config, trace):
     for k in range(1, config.max_iters_per_level + 1):
         while True:
             cfg_dt = replace(config, dt=dt_cur)
+            if operator is None or operator.dt != dt_cur:
+                operator = None  # free the old factors before factorizing
+                operator = SemiImplicitOperator(u0.geometry, config.alpha, dt_cur)
             u_try, force_norm = semi_implicit_step(
-                u, template, reference, cfg_dt, operator=get_op(dt_cur)
+                u, template, reference, cfg_dt, operator=operator
             )
             j_try, d_try, s_try = _objective_parts(u_try, template, reference, config)
             if j_try <= j + 1e-12 * max(1.0, abs(j)):
@@ -277,7 +276,7 @@ def _register_quasi_newton(template, reference, u0, config, trace):
 
     def fun_grad(x):
         u = DisplacementField.from_vector(geometry, x)
-        j, d_val, s_val, grad = _objective_full(u, template, reference, config)
+        j, d_val, s_val, grad, _ = _objective_full(u, template, reference, config)
         stash["parts"] = (d_val, s_val)
         return j, grad.as_vector()
 
@@ -340,14 +339,15 @@ def _register_gauss_newton(template, reference, u0, config, trace):
 
     def trial(x):
         u_t = DisplacementField.from_vector(geometry, x)
-        j_t, d_t, s_t, grad_t = _objective_full(u_t, template, reference, config)
-        return j_t, (u_t, d_t, s_t, grad_t)
+        j_t, d_t, s_t, grad_t, jac_t = _objective_full(u_t, template, reference, config)
+        return j_t, (u_t, d_t, s_t, grad_t, jac_t)
 
     u = u0
-    j, d_val, s_val, grad = _objective_full(u, template, reference, config)
+    # the Hessian blocks reuse the warp Jacobian of the last objective
+    # evaluation at u
+    j, d_val, s_val, grad, (dtdx, dtdy) = _objective_full(u, template, reference, config)
     trace.records.append(IterationRecord(0, j, d_val, s_val, 0.0))
     for k in range(1, config.max_iters_per_level + 1):
-        _, dtdx, dtdy, _ = warp_with_jacobian(template, u, edge_clamp=True)
         h11 = dtdx * dtdx
         h12 = dtdx * dtdy
         h22 = dtdy * dtdy
@@ -381,7 +381,7 @@ def _register_gauss_newton(template, reference, u0, config, trace):
             # quasi-Newton line search
             trace.converged = True
             break
-        _, _, j_try, (u_try, d_try, s_try, grad_try) = hit
+        _, _, j_try, (u_try, d_try, s_try, grad_try, (dtdx, dtdy)) = hit
         step = _step_norm(u_try, u)
         u, j_prev = u_try, j
         j, d_val, s_val, grad = j_try, d_try, s_try, grad_try

@@ -32,30 +32,36 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _two_loop(gradient: np.ndarray, pairs, h0_solve=None) -> np.ndarray:
+def _two_loop(gradient: np.ndarray, pairs, h0_gradient=None) -> np.ndarray:
     """Standard l-BFGS two-loop recursion for -H * gradient.
 
-    With ``h0_solve`` the seed matrix is gamma * H0 instead of gamma * I,
-    where H0 applies a fixed preconditioner and gamma rescales it from the
-    latest curvature pair (gamma = s.y / y.H0 y, the usual scalar when H0
-    is the identity).
+    ``pairs`` holds ``(s, y, rho, h0_y)`` tuples, oldest first.  With
+    ``h0_gradient = H0 gradient`` the seed matrix is gamma * H0 instead of
+    gamma * I, where H0 applies a fixed preconditioner and gamma rescales
+    it from the latest curvature pair (gamma = s.y / y.H0 y, the usual
+    scalar when H0 is the identity).  The recursion is linear in H0, so
+    H0 q = H0 gradient - sum_i a_i H0 y_i needs no further solve: each pair
+    carries ``h0_y = H0 y``, the difference of the seeded gradients at its
+    two ends.  Without ``h0_gradient`` the ``h0_y`` entries are unused.
     """
     q = gradient.copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
+    for s, y, rho, _ in reversed(pairs):
         a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * y
-    if h0_solve is not None:
-        q = h0_solve(q)
+    if h0_gradient is not None:
+        q = h0_gradient.copy()
+        for (_, _, _, h0_y), a in zip(reversed(pairs), alphas):
+            q -= a * h0_y
         if pairs:
-            s, y, _ = pairs[-1]
-            q *= _dot(s, y) / max(_dot(y, h0_solve(y)), 1e-300)
+            s, y, _, h0_y = pairs[-1]
+            q *= _dot(s, y) / max(_dot(y, h0_y), 1e-300)
     elif pairs:
-        s, y, _ = pairs[-1]
+        s, y, _, _ = pairs[-1]
         gamma = _dot(s, y) / max(_dot(y, y), 1e-300)
         q *= gamma
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         beta = rho * _dot(y, q)
         q += (a - beta) * s
     return -q
@@ -105,7 +111,8 @@ def minimize_lbfgs(
     ``step_cap`` set, trial steps are clipped so no component moves farther
     than the cap (a step-limited trust-region flavour).  ``h0_solve(v)``,
     when given, applies an SPD preconditioner as the l-BFGS seed matrix
-    (see :func:`_two_loop`).  Stops on a relative objective change below
+    (see :func:`_two_loop`); it is applied once per iterate, to the
+    gradient there.  Stops on a relative objective change below
     ``rel_tolerance``, a vanishing gradient, or a line search that finds no
     decrease (a working-precision stationary point).  A non-finite starting
     objective raises :class:`DivergenceError`.
@@ -121,6 +128,7 @@ def minimize_lbfgs(
     if callback is not None:
         callback(0, x, f, g, 0.0)
     pairs: list = []
+    h0_g = h0_g_prev = None
     iterations = 0
     converged = False
     for _ in range(max_iters):
@@ -128,7 +136,14 @@ def minimize_lbfgs(
         if g_inf <= 1e-12 * (1.0 + abs(f)):
             converged = True
             break
-        d = _two_loop(g, pairs, h0_solve)
+        if h0_solve is not None:
+            # seed the gradient at this point; a pair stored at the last
+            # step still waits for its H0 y = H0 g_new - H0 g_old
+            h0_g = h0_solve(g)
+            if pairs and pairs[-1][3] is None:
+                s, y, rho, _ = pairs[-1]
+                pairs[-1] = (s, y, rho, h0_g - h0_g_prev)
+        d = _two_loop(g, pairs, h0_g)
         slope = _dot(g, d)
         if not np.isfinite(slope) or slope >= 0.0:
             pairs.clear()
@@ -157,9 +172,10 @@ def minimize_lbfgs(
         y = g_new - g
         sy = _dot(s, y)
         if sy > 1e-12 * float(np.sqrt(_dot(s, s) * _dot(y, y)) + 1e-300):
-            pairs.append((s, y, 1.0 / sy))
+            pairs.append((s, y, 1.0 / sy, None))
             if len(pairs) > memory:
                 pairs.pop(0)
+        h0_g_prev = h0_g
         iterations += 1
         f_prev = f
         x = x_try

@@ -100,6 +100,19 @@ def test_operator_solve_then_apply_roundtrip(rng):
     assert res / np.linalg.norm(rhs.as_vector()) < 1e-8
 
 
+@pytest.mark.parametrize("width,height", [(16, 16), (40, 24)])
+def test_operator_solves_components_independently(width, height, rng):
+    g = GridGeometry(width, height)
+    op = SemiImplicitOperator(g, alpha=50.0, dt=1.0)
+    rhs = random_field(g, rng)
+    both = op.solve(rhs)
+    zero = np.zeros(g.shape)
+    alone_x = op.solve(DisplacementField(g, rhs.u_x, zero))
+    alone_y = op.solve(DisplacementField(g, zero, rhs.u_y))
+    np.testing.assert_allclose(both.u_x, alone_x.u_x, rtol=1e-12)
+    np.testing.assert_allclose(both.u_y, alone_y.u_y, rtol=1e-12)
+
+
 def test_operator_matches_explicit_formula(geom16, rng):
     op = SemiImplicitOperator(geom16, alpha=3.0, dt=0.5)
     u = random_field(geom16, rng)

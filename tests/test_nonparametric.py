@@ -1,9 +1,12 @@
 """Variational registration: objective, solvers, multilevel scheme."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from fusereg.curvature import curvature_energy
+from fusereg import nonparametric
+from fusereg.curvature import SemiImplicitOperator, curvature_energy
 from fusereg.errors import GeometryError, IntensityRangeError, ParameterError
 from fusereg.evaluation import endpoint_error, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
@@ -194,6 +197,54 @@ def test_translation_recovery_both_schemes():
         stats, _ = endpoint_error(u, truth)
         assert stats.median < 0.05, solver
         assert stats.mean < 0.1, solver
+
+
+def test_gauss_newton_warps_once_per_evaluation(monkeypatch):
+    # the Hessian blocks reuse the Jacobian of the accepted evaluation
+    counts = {"warps": 0, "evals": 0}
+    warp_with_jacobian = nonparametric.warp_with_jacobian
+    objective_full = nonparametric._objective_full
+
+    def counted_warp(*args, **kwargs):
+        counts["warps"] += 1
+        return warp_with_jacobian(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        counts["evals"] += 1
+        return objective_full(*args, **kwargs)
+
+    monkeypatch.setattr(nonparametric, "warp_with_jacobian", counted_warp)
+    monkeypatch.setattr(nonparametric, "_objective_full", counted_objective)
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=1.0, solver="gauss-newton", max_iters_per_level=10
+    )
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert trace.iterations >= 2
+    assert counts["warps"] == counts["evals"]
+
+
+def test_semi_implicit_keeps_only_the_current_operator(monkeypatch):
+    # dt halves three times here; each new factorization starts only after
+    # the previous operator is gone
+    made = []
+    alive_at_build = []
+
+    class Recorded(SemiImplicitOperator):
+        def __init__(self, *args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in made))
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(nonparametric, "SemiImplicitOperator", Recorded)
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=1.0, solver="semi-implicit", dt=1000.0,
+        max_iters_per_level=10,
+    )
+    register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert len(made) == 4
+    assert alive_at_build == [0, 0, 0, 0]
 
 
 def test_register_level_fills_template_gaps():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusereg.errors import DivergenceError, ParameterError
-from fusereg.optimize import armijo_backtrack, minimize_lbfgs
+from fusereg.optimize import _two_loop, armijo_backtrack, minimize_lbfgs
 
 
 def quadratic(diag):
@@ -51,6 +51,54 @@ def test_preconditioner_reaches_same_minimum(rng):
     assert plain.fun < 1e-10 and pre.fun < 1e-10
     # the exact inverse Hessian seed solves the problem essentially at once
     assert pre.iterations <= plain.iterations
+
+
+def test_preconditioner_applied_once_per_accepted_point(rng):
+    diag = np.linspace(1.0, 1000.0, 30)
+    h0 = rng.uniform(0.5, 2.0, size=30) / diag
+    calls = []
+
+    def h0_solve(v):
+        calls.append(1)
+        return h0 * v
+
+    res = minimize_lbfgs(
+        quadratic(diag), rng.normal(size=30), max_iters=50,
+        rel_tolerance=1e-13, h0_solve=h0_solve,
+    )
+    assert res.iterations >= 3
+    assert len(calls) <= res.iterations + 1
+
+
+def test_two_loop_matches_two_solve_recursion(rng):
+    # reference: the recursion that solves with H0 once for q and once
+    # more for the scaling factor's H0 y
+    n = 12
+    a = rng.normal(size=(n, n))
+    h0 = a @ a.T + n * np.eye(n)
+    g = rng.normal(size=n)
+    pairs = []
+    for _ in range(5):
+        s = rng.normal(size=n)
+        y = s + 0.3 * rng.normal(size=n)
+        pairs.append((s, y, 1.0 / float(s @ y)))
+
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        alphas.append(alpha)
+        q -= alpha * y
+    q = h0 @ q
+    s, y, _ = pairs[-1]
+    q *= float(s @ y) / float(y @ (h0 @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        beta = rho * float(y @ q)
+        q += (alpha - beta) * s
+    want = -q
+
+    got = _two_loop(g, [(s, y, rho, h0 @ y) for s, y, rho in pairs], h0 @ g)
+    np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def test_step_cap_limits_component_motion():
