@@ -6,9 +6,10 @@ Seeks a per-pixel displacement u minimizing
 
 with D one of the intensity distances and S the curvature regularizer.
 Registration runs coarse to fine over an image pyramid; each level is
-solved by one of four schemes: a semi-implicit fixed-point iteration on the
-Euler-Lagrange equations, limited-memory BFGS, a step-capped trust-region
-variant, or Gauss-Newton with per-pixel Hessian blocks.
+solved by one of four step rules of the one descent loop
+:func:`fusereg.optimize.descend`: a semi-implicit fixed-point iteration on
+the Euler-Lagrange equations, limited-memory BFGS, a step-capped
+trust-region variant, or Gauss-Newton with per-pixel Hessian blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .grid import (
     prolong,
     warp_with_jacobian,
 )
-from .optimize import armijo_backtrack, minimize_lbfgs
+from .optimize import armijo_backtrack, descend, minimize_lbfgs
 
 log = logging.getLogger(__name__)
 
@@ -223,88 +224,43 @@ def semi_implicit_step(u, template, reference, config, operator=None):
     return u_next, f.max_norm()
 
 
-def _step_norm(u_new, u_old) -> float:
-    return float(
-        np.max(
-            np.sqrt((u_new.u_x - u_old.u_x) ** 2 + (u_new.u_y - u_old.u_y) ** 2)
-        )
-    )
+def _step_norm(x_new, x_old) -> float:
+    """Largest per-pixel Euclidean change between two field vectors."""
+    d = x_new - x_old
+    n = d.size // 2
+    return float(np.max(np.sqrt(d[:n] ** 2 + d[n:] ** 2)))
 
 
-def _rel_change_small(f_prev, f_new, tol) -> bool:
-    return abs(f_prev - f_new) <= tol * max(abs(f_new), 1e-12)
-
-
-def _register_semi_implicit(template, reference, u0, config, trace):
-    # dt only ever halves, so only the operator for the current dt is kept
+def _semi_implicit_rule(template, reference, config):
+    """Semi-implicit step rule for :func:`descend`: an implicit step,
+    halving dt until J does not rise.  dt never grows back, so only the
+    operator for the current dt is kept."""
+    geometry = template.geometry
+    dt = config.dt
     operator = None
-    u = u0
-    j, d_val, s_val = _objective_parts(u, template, reference, config)
-    trace.records.append(IterationRecord(0, j, d_val, s_val, 0.0))
-    dt_cur = config.dt
-    for k in range(1, config.max_iters_per_level + 1):
+
+    def step(fun, x, j, _):
+        nonlocal dt, operator
+        u = DisplacementField.from_vector(geometry, x)
         while True:
-            cfg_dt = replace(config, dt=dt_cur)
-            if operator is None or operator.dt != dt_cur:
+            if operator is None or operator.dt != dt:
                 operator = None  # free the old factors before factorizing
-                operator = SemiImplicitOperator(u0.geometry, config.alpha, dt_cur)
+                operator = SemiImplicitOperator(geometry, config.alpha, dt)
             u_try, force_norm = semi_implicit_step(
-                u, template, reference, cfg_dt, operator=operator
+                u, template, reference, replace(config, dt=dt), operator=operator
             )
-            j_try, d_try, s_try = _objective_parts(u_try, template, reference, config)
+            x_try = u_try.as_vector()
+            j_try, rest = fun(x_try)
             if j_try <= j + 1e-12 * max(1.0, abs(j)):
-                break
-            dt_cur *= 0.5
-            if dt_cur < config.dt * 2.0**-24:
+                return x_try, j_try, rest, _step_norm(x_try, x)
+            dt *= 0.5
+            if dt < config.dt * 2.0**-24:
                 raise DivergenceError(
                     "semi-implicit step cannot decrease the objective "
                     "(force norm %.3e)" % force_norm
                 )
-        step = _step_norm(u_try, u)
-        u, j_prev = u_try, j
-        j, d_val, s_val = j_try, d_try, s_try
-        trace.records.append(IterationRecord(k, j, d_val, s_val, step))
-        if _rel_change_small(j_prev, j, config.rel_tolerance):
-            trace.converged = True
-            break
-    return u
 
-
-def _register_quasi_newton(template, reference, u0, config, trace):
-    geometry = u0.geometry
-    stash = {}
-
-    def fun_grad(x):
-        u = DisplacementField.from_vector(geometry, x)
-        j, d_val, s_val, grad, _ = _objective_full(u, template, reference, config)
-        stash["parts"] = (d_val, s_val)
-        return j, grad.as_vector()
-
-    def callback(k, x, f, g, step):
-        d_val, s_val = stash["parts"]
-        trace.records.append(IterationRecord(k, f, d_val, s_val, step))
-
-    # seed the quasi-Newton model with (I + alpha B)^(-1): the stiff
-    # curvature block dominates the Hessian spectrum and an identity seed
-    # forces thousands of tiny steps
-    operator = SemiImplicitOperator(geometry, config.alpha, 1.0)
-
-    def h0_solve(vec):
-        v = DisplacementField.from_vector(geometry, vec)
-        return operator.solve(v).as_vector()
-
-    cap = config.trust_radius if config.solver == "trust-region" else None
-    result = minimize_lbfgs(
-        fun_grad,
-        u0.as_vector(),
-        max_iters=config.max_iters_per_level,
-        rel_tolerance=config.rel_tolerance,
-        step_cap=cap,
-        h0_solve=h0_solve,
-        callback=callback,
-    )
-    trace.converged = result.converged
-    return DisplacementField.from_vector(geometry, result.x)
+    return step
 
 
 def _conjugate_gradient(apply_h, rhs, max_iters=100, rel_tol=1e-8):
@@ -332,22 +288,16 @@ def _conjugate_gradient(apply_h, rhs, max_iters=100, rel_tol=1e-8):
     return x
 
 
-def _register_gauss_newton(template, reference, u0, config, trace):
-    geometry = u0.geometry
+def _gauss_newton_rule(geometry, alpha):
+    """Gauss-Newton step rule for :func:`descend`: Armijo search along a CG
+    solution of the Gauss-Newton system, or along -g where that fails.
+    ``rest`` is the gradient and the warp Jacobian ``(dtdx, dtdy)`` at
+    ``x``, which the Hessian blocks reuse."""
     n = geometry.width * geometry.height
     shape = geometry.shape
 
-    def trial(x):
-        u_t = DisplacementField.from_vector(geometry, x)
-        j_t, d_t, s_t, grad_t, jac_t = _objective_full(u_t, template, reference, config)
-        return j_t, (u_t, d_t, s_t, grad_t, jac_t)
-
-    u = u0
-    # the Hessian blocks reuse the warp Jacobian of the last objective
-    # evaluation at u
-    j, d_val, s_val, grad, (dtdx, dtdy) = _objective_full(u, template, reference, config)
-    trace.records.append(IterationRecord(0, j, d_val, s_val, 0.0))
-    for k in range(1, config.max_iters_per_level + 1):
+    def step(fun, x, j, rest):
+        g_vec, (dtdx, dtdy) = rest
         h11 = dtdx * dtdx
         h12 = dtdx * dtdy
         h22 = dtdy * dtdy
@@ -358,81 +308,103 @@ def _register_gauss_newton(template, reference, u0, config, trace):
             vy = vec[n:].reshape(shape)
             bx = laplacian_adjoint_values(laplacian_values(vx, 1.0, 1.0), 1.0, 1.0)
             by = laplacian_adjoint_values(laplacian_values(vy, 1.0, 1.0), 1.0, 1.0)
-            ox = h11 * vx + h12 * vy + config.alpha * bx + mu * vx
-            oy = h12 * vx + h22 * vy + config.alpha * by + mu * vy
+            ox = h11 * vx + h12 * vy + alpha * bx + mu * vx
+            oy = h12 * vx + h22 * vy + alpha * by + mu * vy
             return np.concatenate([ox.ravel(), oy.ravel()])
 
-        g_vec = grad.as_vector()
         delta = _conjugate_gradient(apply_h, -g_vec)
         slope = float(np.sum(g_vec * delta))
         if not np.isfinite(slope) or slope >= 0.0:
             delta = -g_vec
             slope = float(np.sum(g_vec * delta))
-
-        x = u.as_vector()
-        hit, _ = armijo_backtrack(trial, x, j, delta, slope)
+        hit = armijo_backtrack(fun, x, j, delta, slope)
         if hit is None and not np.array_equal(delta, -g_vec):
             # the quadratic model can be useless where the interpolant kinks
             # (integer-aligned u); steepest descent still gets off the spot
-            hit, _ = armijo_backtrack(trial, x, j, -g_vec, -float(np.sum(g_vec * g_vec)))
+            hit = armijo_backtrack(fun, x, j, -g_vec, -float(np.sum(g_vec * g_vec)))
         if hit is None:
-            # neither direction found a decrease: working-precision
-            # stationary point (or a kink minimum), same stop rule as the
-            # quasi-Newton line search
-            trace.converged = True
-            break
-        _, _, j_try, (u_try, d_try, s_try, grad_try, (dtdx, dtdy)) = hit
-        step = _step_norm(u_try, u)
-        u, j_prev = u_try, j
-        j, d_val, s_val, grad = j_try, d_try, s_try, grad_try
-        trace.records.append(IterationRecord(k, j, d_val, s_val, step))
-        if _rel_change_small(j_prev, j, config.rel_tolerance):
-            trace.converged = True
-            break
-    return u
+            return None
+        _, x_try, j_try, rest_try = hit
+        return x_try, j_try, rest_try, _step_norm(x_try, x)
+
+    return step
 
 
 def register_level(template, reference, u0, config, level=0):
     """Run the configured solver on one pyramid level.
 
-    The iteration history never shows an objective increase; a solver that
-    cannot decrease J raises :class:`DivergenceError` with the partial
-    trace attached.
+    Every solver is a step rule of :func:`fusereg.optimize.descend`
+    (l-BFGS and trust-region through :func:`minimize_lbfgs`).  The
+    iteration history never shows an objective increase; a solver that
+    cannot decrease J, or a non-finite J at ``u0``, raises
+    :class:`DivergenceError` with the partial trace attached.
     """
     _require_same_shape(template.geometry, reference.geometry, "register_level")
     _require_same_shape(template.geometry, u0.geometry, "register_level")
     template = fill_nodata(template)
-    trace = LevelTrace(
-        level=level,
-        width=u0.geometry.width,
-        height=u0.geometry.height,
-        solver=config.solver,
+    geometry = u0.geometry
+    trace = LevelTrace(level, geometry.width, geometry.height, config.solver)
+    terms = {}  # D and S of the latest evaluation, the accepted one at callbacks
+
+    def full(x):
+        u = DisplacementField.from_vector(geometry, x)
+        j, terms["D"], terms["S"], grad, jac = _objective_full(u, template, reference, config)
+        return j, (grad.as_vector(), jac)
+
+    def parts(x):
+        u = DisplacementField.from_vector(geometry, x)
+        j, terms["D"], terms["S"] = _objective_parts(u, template, reference, config)
+        return j, None
+
+    def fun_grad(x):
+        j, (grad, _) = full(x)
+        return j, grad
+
+    def record(k, x, j, rest, step):
+        trace.records.append(IterationRecord(k, j, terms["D"], terms["S"], step))
+
+    limits = dict(
+        max_iters=config.max_iters_per_level,
+        rel_tolerance=config.rel_tolerance,
+        callback=record,
     )
+    x0 = u0.as_vector()
     t0 = time.perf_counter()
     try:
         if config.solver == "semi-implicit":
-            u = _register_semi_implicit(template, reference, u0, config, trace)
+            result = descend(parts, x0, _semi_implicit_rule(template, reference, config), **limits)
         elif config.solver == "gauss-newton":
-            u = _register_gauss_newton(template, reference, u0, config, trace)
+            result = descend(full, x0, _gauss_newton_rule(geometry, config.alpha), **limits)
         else:
-            u = _register_quasi_newton(template, reference, u0, config, trace)
+            # seed the quasi-Newton model with (I + alpha B)^(-1): the stiff
+            # curvature block dominates the Hessian spectrum and an identity
+            # seed forces thousands of tiny steps
+            operator = SemiImplicitOperator(geometry, config.alpha, 1.0)
+
+            def h0_solve(vec):
+                v = DisplacementField.from_vector(geometry, vec)
+                return operator.solve(v).as_vector()
+
+            cap = config.trust_radius if config.solver == "trust-region" else None
+            result = minimize_lbfgs(fun_grad, x0, step_cap=cap, h0_solve=h0_solve, **limits)
     except DivergenceError as err:
-        trace.wall_time = time.perf_counter() - t0
         err.trace = trace
         err.level = level
         raise
-    trace.wall_time = time.perf_counter() - t0
+    finally:
+        trace.wall_time = time.perf_counter() - t0
+    trace.converged = result.converged
     log.info(
         "level %d (%dx%d, %s): %d iterations, J=%.6e, converged=%s",
         level,
-        u0.geometry.width,
-        u0.geometry.height,
+        geometry.width,
+        geometry.height,
         config.solver,
         trace.iterations,
         trace.records[-1].objective,
         trace.converged,
     )
-    return u, trace
+    return DisplacementField.from_vector(geometry, result.x), trace
 
 
 def register_multilevel(template, reference, config):

@@ -1,10 +1,12 @@
-"""Limited-memory quasi-Newton minimizer with backtracking line search.
+"""One monotone descent loop with pluggable step rules, and l-BFGS.
 
-Shared by the non-parametric solvers and the affine baselines.  Hand rolled
-rather than delegated so that iterates, objective decomposition and
-line-search behaviour stay fully observable and bit-reproducible; all inner
-products use numpy sums, which are deterministic regardless of BLAS
-threading.
+:func:`descend` is the only iteration loop: every non-parametric solver
+and the affine baselines run through it, l-BFGS (and its step-capped
+trust-region variant) as the step rule behind :func:`minimize_lbfgs`.
+Hand rolled rather than delegated so that iterates, objective
+decomposition and line-search behaviour stay fully observable and
+bit-reproducible; all inner products use numpy sums, which are
+deterministic regardless of BLAS threading.
 """
 
 from __future__ import annotations
@@ -32,17 +34,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _two_loop(gradient: np.ndarray, pairs, h0_gradient=None) -> np.ndarray:
+def _two_loop(gradient: np.ndarray, pairs, h0_gradient: np.ndarray) -> np.ndarray:
     """Standard l-BFGS two-loop recursion for -H * gradient.
 
-    ``pairs`` holds ``(s, y, rho, h0_y)`` tuples, oldest first.  With
-    ``h0_gradient = H0 gradient`` the seed matrix is gamma * H0 instead of
-    gamma * I, where H0 applies a fixed preconditioner and gamma rescales
-    it from the latest curvature pair (gamma = s.y / y.H0 y, the usual
-    scalar when H0 is the identity).  The recursion is linear in H0, so
-    H0 q = H0 gradient - sum_i a_i H0 y_i needs no further solve: each pair
-    carries ``h0_y = H0 y``, the difference of the seeded gradients at its
-    two ends.  Without ``h0_gradient`` the ``h0_y`` entries are unused.
+    ``pairs`` holds ``(s, y, rho, h0_y)`` tuples, oldest first, and
+    ``h0_gradient = H0 gradient``: the seed matrix is gamma * H0, where H0
+    applies a fixed preconditioner (the identity when there is none) and
+    gamma rescales it from the latest curvature pair (gamma = s.y / y.H0 y,
+    the usual scalar when H0 is the identity).  The recursion is linear in
+    H0, so H0 q = H0 gradient - sum_i a_i H0 y_i needs no further solve:
+    each pair carries ``h0_y = H0 y``, the difference of the seeded
+    gradients at its two ends.
     """
     q = gradient.copy()
     alphas = []
@@ -50,17 +52,12 @@ def _two_loop(gradient: np.ndarray, pairs, h0_gradient=None) -> np.ndarray:
         a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * y
-    if h0_gradient is not None:
-        q = h0_gradient.copy()
-        for (_, _, _, h0_y), a in zip(reversed(pairs), alphas):
-            q -= a * h0_y
-        if pairs:
-            s, y, _, h0_y = pairs[-1]
-            q *= _dot(s, y) / max(_dot(y, h0_y), 1e-300)
-    elif pairs:
-        s, y, _, _ = pairs[-1]
-        gamma = _dot(s, y) / max(_dot(y, y), 1e-300)
-        q *= gamma
+    q = h0_gradient.copy()
+    for (_, _, _, h0_y), a in zip(reversed(pairs), alphas):
+        q -= a * h0_y
+    if pairs:
+        s, y, _, h0_y = pairs[-1]
+        q *= _dot(s, y) / max(_dot(y, h0_y), 1e-300)
     for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
         beta = rho * _dot(y, q)
         q += (a - beta) * s
@@ -74,75 +71,86 @@ def armijo_backtrack(fun, x, f, d, slope, t=1.0):
     accepts the first trial whose value ``fun(x_try)[0]`` is finite and at
     most ``f + ARMIJO_C1 * t * slope``.  A trial at which ``fun`` raises
     :class:`FuseRegError` has left the measure's domain and is rejected
-    like any other.  Returns ``(hit, n_evals)``: ``hit`` is ``(t, x_try,
-    value, rest)`` for the accepted trial, ``rest`` being the second item
-    ``fun`` returned, or None; ``n_evals`` counts the evaluations that
-    returned.
+    like any other.  Returns ``(t, x_try, value, rest)`` for the accepted
+    trial, ``rest`` being the second item ``fun`` returned, or None.
     """
-    n_evals = 0
     for _ in range(MAX_BACKTRACKS):
         x_try = x + t * d
         try:
             f_try, rest = fun(x_try)
-            n_evals += 1
         except FuseRegError:
             t *= 0.5
             continue
         if np.isfinite(f_try) and f_try <= f + ARMIJO_C1 * t * slope:
-            return (t, x_try, f_try, rest), n_evals
+            return t, x_try, f_try, rest
         t *= 0.5
-    return None, n_evals
+    return None
 
 
-def minimize_lbfgs(
-    fun_grad,
-    x0: np.ndarray,
-    *,
-    max_iters: int = 200,
-    rel_tolerance: float = 1e-6,
-    memory: int = 10,
-    step_cap: float | None = None,
-    h0_solve=None,
-    callback=None,
-) -> MinimizeResult:
-    """Minimize fun_grad(x) -> (value, gradient) from x0.
+def descend(fun, x0, step, *, max_iters, rel_tolerance, callback=None) -> MinimizeResult:
+    """The monotone descent loop every solver runs through.
 
-    Accepts steps under the Armijo condition with halving backtracks; with
-    ``step_cap`` set, trial steps are clipped so no component moves farther
-    than the cap (a step-limited trust-region flavour).  ``h0_solve(v)``,
-    when given, applies an SPD preconditioner as the l-BFGS seed matrix
-    (see :func:`_two_loop`); it is applied once per iterate, to the
-    gradient there.  Stops on a relative objective change below
-    ``rel_tolerance``, a vanishing gradient, or a line search that finds no
-    decrease (a working-precision stationary point).  A non-finite starting
-    objective raises :class:`DivergenceError`.
+    ``fun(x)`` returns ``(value, rest)``, ``rest`` being what the step rule
+    needs at ``x`` (a gradient, say).  ``step(fun, x, value, rest)`` tries
+    points only through the ``fun`` it is given and returns ``(x_new,
+    value_new, rest_new, step_norm)`` for the one it accepts, or None when
+    it finds no decrease (a working-precision stationary point or a kink of
+    the sampled objective).  None and a relative objective change below
+    ``rel_tolerance`` end the loop as converged; ``max_iters`` accepted
+    steps end it unconverged.  A non-finite starting value raises
+    :class:`DivergenceError`; ``n_evals`` counts evaluations that returned.
 
-    ``callback(iteration, x, value, gradient, step_norm)`` fires for the
+    ``callback(iteration, x, value, rest, step_norm)`` fires for the
     initial point (iteration 0) and after every accepted step.
     """
-    x = np.array(x0, dtype=np.float64)
-    f, g = fun_grad(x)
-    n_evals = 1
+    n_evals = 0
+
+    def counted(x):
+        nonlocal n_evals
+        out = fun(x)
+        n_evals += 1
+        return out
+
+    x = x0
+    f, rest = counted(x)
     if not np.isfinite(f):
         raise DivergenceError("objective is not finite at the starting point")
     if callback is not None:
-        callback(0, x, f, g, 0.0)
-    pairs: list = []
-    h0_g = h0_g_prev = None
+        callback(0, x, f, rest, 0.0)
     iterations = 0
     converged = False
     for _ in range(max_iters):
-        g_inf = float(np.max(np.abs(g))) if g.size else 0.0
-        if g_inf <= 1e-12 * (1.0 + abs(f)):
+        moved = step(counted, x, f, rest)
+        if moved is None:
             converged = True
             break
-        if h0_solve is not None:
-            # seed the gradient at this point; a pair stored at the last
-            # step still waits for its H0 y = H0 g_new - H0 g_old
-            h0_g = h0_solve(g)
-            if pairs and pairs[-1][3] is None:
-                s, y, rho, _ = pairs[-1]
-                pairs[-1] = (s, y, rho, h0_g - h0_g_prev)
+        f_prev = f
+        x, f, rest, step_norm = moved
+        iterations += 1
+        if callback is not None:
+            callback(iterations, x, f, rest, step_norm)
+        if abs(f_prev - f) <= rel_tolerance * max(abs(f), 1e-12):
+            converged = True
+            break
+    return MinimizeResult(x=x, fun=f, iterations=iterations, converged=converged, n_evals=n_evals)
+
+
+def _lbfgs_step(memory, step_cap, h0_solve):
+    """The l-BFGS step rule for :func:`descend`; ``rest`` is the gradient."""
+    pairs: list = []
+    h0_g_prev = None
+
+    def step(fun, x, f, g):
+        nonlocal h0_g_prev
+        g_inf = float(np.max(np.abs(g))) if g.size else 0.0
+        if g_inf <= 1e-12 * (1.0 + abs(f)):
+            return None
+        # seed the gradient here (H0 = I without h0_solve); the pair stored
+        # at the last step still waits for its H0 y = H0 g_new - H0 g_old
+        h0_g = g if h0_solve is None else h0_solve(g)
+        if pairs and pairs[-1][3] is None:
+            s, y, rho, _ = pairs[-1]
+            pairs[-1] = (s, y, rho, h0_g - h0_g_prev)
         d = _two_loop(g, pairs, h0_g)
         slope = _dot(g, d)
         if not np.isfinite(slope) or slope >= 0.0:
@@ -156,19 +164,11 @@ def minimize_lbfgs(
             t = min(1.0, 1.0 / d_inf)
         if step_cap is not None and d_inf * t > step_cap:
             t = step_cap / d_inf
-        hit, evals = armijo_backtrack(fun_grad, x, f, d, slope, t)
-        n_evals += evals
+        hit = armijo_backtrack(fun, x, f, d, slope, t)
         if hit is None:
-            # No decrease within the backtrack budget.  With an exact
-            # gradient this only happens at a working-precision stationary
-            # point or at a kink of the sampled objective (integer-aligned
-            # displacements); either way the iterate is as good as this
-            # direction set gets, so stop rather than diverge.
-            converged = True
-            break
-        t, x_try, f_new, g_new = hit
-        step = t * d
-        s = step
+            return None
+        t, x_new, f_new, g_new = hit
+        s = t * d
         y = g_new - g
         sy = _dot(s, y)
         if sy > 1e-12 * float(np.sqrt(_dot(s, s) * _dot(y, y)) + 1e-300):
@@ -176,13 +176,37 @@ def minimize_lbfgs(
             if len(pairs) > memory:
                 pairs.pop(0)
         h0_g_prev = h0_g
-        iterations += 1
-        f_prev = f
-        x = x_try
-        f, g = f_new, g_new
-        if callback is not None:
-            callback(iterations, x, f, g, float(np.max(np.abs(step))))
-        if abs(f_prev - f) <= rel_tolerance * max(abs(f), 1e-12):
-            converged = True
-            break
-    return MinimizeResult(x=x, fun=f, iterations=iterations, converged=converged, n_evals=n_evals)
+        return x_new, f_new, g_new, float(np.max(np.abs(s)))
+
+    return step
+
+
+def minimize_lbfgs(
+    fun_grad,
+    x0: np.ndarray,
+    *,
+    max_iters: int = 200,
+    rel_tolerance: float = 1e-6,
+    memory: int = 10,
+    step_cap: float | None = None,
+    h0_solve=None,
+    callback=None,
+) -> MinimizeResult:
+    """Minimize fun_grad(x) -> (value, gradient) from x0 by l-BFGS.
+
+    Runs :func:`descend` with Armijo steps and halving backtracks; a
+    vanishing gradient also ends the run as converged.  With ``step_cap``
+    set, trial steps are clipped so no component moves farther than the
+    cap (a step-limited trust-region flavour).  ``h0_solve(v)``, when
+    given, applies an SPD preconditioner as the seed matrix (see
+    :func:`_two_loop`), once per iterate, to the gradient there.
+    ``callback`` is that of :func:`descend`, its ``rest`` the gradient.
+    """
+    return descend(
+        fun_grad,
+        np.array(x0, dtype=np.float64),
+        _lbfgs_step(memory, step_cap, h0_solve),
+        max_iters=max_iters,
+        rel_tolerance=rel_tolerance,
+        callback=callback,
+    )

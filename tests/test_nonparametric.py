@@ -7,7 +7,7 @@ import pytest
 
 from fusereg import nonparametric
 from fusereg.curvature import SemiImplicitOperator, curvature_energy
-from fusereg.errors import GeometryError, IntensityRangeError, ParameterError
+from fusereg.errors import DivergenceError, GeometryError, IntensityRangeError, ParameterError
 from fusereg.evaluation import endpoint_error, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
 from fusereg.nonparametric import (
@@ -245,6 +245,58 @@ def test_semi_implicit_keeps_only_the_current_operator(monkeypatch):
     register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
     assert len(made) == 4
     assert alive_at_build == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_nonfinite_start_raises_for_every_solver(solver, monkeypatch):
+    monkeypatch.setattr(nonparametric, "curvature_energy", lambda u: float("nan"))
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver=solver, max_iters_per_level=5)
+    with pytest.raises(DivergenceError, match="not finite at the starting point") as info:
+        register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert info.value.level == 0
+    assert info.value.trace.records == []
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_iteration_cap_is_not_convergence(solver):
+    tem, ref = translation_pair(n=40, shift=(2.0, 0.0))
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=1.0, solver=solver, dt=5.0,
+        max_iters_per_level=3, rel_tolerance=1e-12,
+    )
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert trace.iterations == 3
+    assert not trace.converged
+
+
+def test_semi_implicit_divergence_carries_level_and_partial_trace(monkeypatch):
+    # a solve that adds noise makes every step raise J, however small dt gets
+    rng = np.random.default_rng(5)
+
+    class Noisy(SemiImplicitOperator):
+        def solve(self, rhs):
+            out = super().solve(rhs)
+            shape = out.geometry.shape
+            return DisplacementField(
+                out.geometry,
+                out.u_x + rng.normal(0.0, 0.1, shape),
+                out.u_y + rng.normal(0.0, 0.1, shape),
+            )
+
+    monkeypatch.setattr(nonparametric, "SemiImplicitOperator", Noisy)
+    tem, ref = translation_pair(n=64, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver="semi-implicit", max_levels=2)
+    with pytest.raises(DivergenceError, match="cannot decrease") as info:
+        register_multilevel(tem, ref, cfg)
+    err = info.value
+    assert err.level == 1
+    assert [lt.level for lt in err.trace.levels] == [1]
+    level_trace = err.trace.levels[0]
+    assert len(level_trace.records) == 1
+    assert level_trace.records[0].iteration == 0
+    assert not level_trace.converged
+    assert level_trace.wall_time > 0.0
 
 
 def test_register_level_fills_template_gaps():

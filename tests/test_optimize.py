@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusereg.errors import DivergenceError, ParameterError
-from fusereg.optimize import _two_loop, armijo_backtrack, minimize_lbfgs
+from fusereg.optimize import _two_loop, armijo_backtrack, descend, minimize_lbfgs
 
 
 def quadratic(diag):
@@ -154,17 +154,25 @@ def test_exhausted_line_search_reports_convergence():
 
 def test_backtrack_halves_past_trials_that_raise():
     # trial points beyond |x| = 1 leave the domain; the search halves past
-    # them and counts only the evaluations that returned
+    # them, and the driver counts only the evaluations that returned
 
     def fun(x):
         if abs(x[0]) > 1.0:
             raise ParameterError("outside the domain")
         return float(x[0] * x[0] - 2.0 * x[0]), "rest"
 
-    hit, n_evals = armijo_backtrack(fun, np.zeros(1), 0.0, np.array([4.0]), -8.0)
+    hit = armijo_backtrack(fun, np.zeros(1), 0.0, np.array([4.0]), -8.0)
     t, x_try, value, rest = hit
     assert (t, x_try[0], value, rest) == (0.25, 1.0, -1.0, "rest")
-    assert n_evals == 1
+
+    def step(fun, x, f, rest):
+        t, x_new, f_new, rest_new = armijo_backtrack(fun, x, f, np.array([4.0]), -8.0)
+        return x_new, f_new, rest_new, 4.0 * t
+
+    res = descend(fun, np.zeros(1), step, max_iters=1, rel_tolerance=1e-12)
+    assert (res.x[0], res.fun, res.iterations) == (1.0, -1.0, 1)
+    # the start and the one trial that returned; the two that raised are not counted
+    assert res.n_evals == 2
 
 
 def test_iteration_budget_respected(rng):
