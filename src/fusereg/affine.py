@@ -33,6 +33,7 @@ from .nonparametric import (
     RegistrationConfig,
     RegistrationTrace,
     _distance,
+    _level_reference,
 )
 from .optimize import minimize_lbfgs
 
@@ -174,7 +175,7 @@ def register_affine(
         # in the parameters (a masked sum would reward transforms that push
         # pixels out of the domain; SSD exploits that immediately)
         t_img = fill_nodata(pyr_t[level])
-        r_img = pyr_r[level]
+        r_level = _level_reference(pyr_r[level], cfg)
         geometry = t_img.geometry
         if level < n_levels - 1:
             # pixel transforms transfer across node-centred levels as
@@ -192,7 +193,7 @@ def register_affine(
             py = a_px[1, 0] * xs + a_px[1, 1] * ys + t_px[1]
             u = DisplacementField(geometry, xs - px, ys - py)
             warped, dtdx, dtdy, _ = warp_with_jacobian(t_img, u, edge_clamp=True)
-            res = _distance(warped, r_img, cfg)
+            res = _distance(warped, r_level, cfg)
             wx = res.d_warped * dtdx
             wy = res.d_warped * dtdy
             grad = np.array(
@@ -225,6 +226,7 @@ def register_affine(
             callback=callback,
         )
         level_trace.converged = result.converged
+        level_trace.evaluations = result.n_evals
         trace.levels.append(level_trace)
         a, t = _hat_to_pixel(result.x, geometry)
         log.info(

@@ -193,9 +193,10 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     v11)``.  Out-of-domain points are flagged unless ``edge_clamp`` is set,
     in which case coordinates are clamped to the grid hull.  A point is
     also invalid when any neighbour with nonzero interpolation weight is
-    masked.
+    masked.  ``values`` may stack several images on leading axes; they are
+    all sampled from the one cell computation.
     """
-    h, w = values.shape
+    h, w = values.shape[-2:]
     xc = np.clip(xs, 0.0, w - 1.0)
     yc = np.clip(ys, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(xc), w - 2).astype(np.int64)
@@ -206,13 +207,13 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     w10 = fx * (1.0 - fy)
     w01 = (1.0 - fx) * fy
     w11 = fx * fy
-    v00 = values[y0, x0]
-    v10 = values[y0, x0 + 1]
-    v01 = values[y0 + 1, x0]
-    v11 = values[y0 + 1, x0 + 1]
+    v00 = values[..., y0, x0]
+    v10 = values[..., y0, x0 + 1]
+    v01 = values[..., y0 + 1, x0]
+    v11 = values[..., y0 + 1, x0 + 1]
     v = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
     if edge_clamp:
-        bad = np.zeros(np.shape(v), dtype=bool)
+        bad = np.zeros(np.shape(xs), dtype=bool)
     else:
         bad = (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
     if mask is not None:
@@ -253,8 +254,7 @@ def _sample_arrays(image: ScalarImage, xs, ys, mode: str):
 def _sample_field(u: DisplacementField, xs, ys):
     """Both components of ``u`` sampled bilinearly at pixel coordinates,
     edge clamped."""
-    ux, _, _ = _bilinear_arrays(u.u_x, None, xs, ys, edge_clamp=True)
-    uy, _, _ = _bilinear_arrays(u.u_y, None, xs, ys, edge_clamp=True)
+    (ux, uy), _, _ = _bilinear_arrays(np.stack([u.u_x, u.u_y]), None, xs, ys, edge_clamp=True)
     return ux, uy
 
 

@@ -67,6 +67,7 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.measure not in similarity.MEASURES:
             raise ParameterError("unknown measure %r" % self.measure)
+        similarity.check_mi_parameters(self.mi_bins, self.mi_parzen_sigma)
         if self.solver not in SOLVERS:
             raise ParameterError("unknown solver %r" % self.solver)
         for name in ("alpha", "eta", "dt", "trust_radius"):
@@ -90,7 +91,8 @@ class IterationRecord:
 
 @dataclass
 class LevelTrace:
-    """Per-level iteration history; records[0] is the initial state."""
+    """Per-level iteration history; records[0] is the initial state.
+    ``evaluations`` counts the objective evaluations the solver made."""
 
     level: int
     width: int
@@ -98,6 +100,7 @@ class LevelTrace:
     solver: str
     records: list = field(default_factory=list)
     converged: bool = False
+    evaluations: int = 0
     wall_time: float = 0.0
 
     @property
@@ -145,6 +148,18 @@ class RegistrationTrace:
 
     def to_text(self) -> str:
         return "\n".join(self.to_lines()) + "\n"
+
+
+def _level_reference(reference, config):
+    """The reference with what the configured measure needs of it, built
+    once per level for :func:`_distance`."""
+    return similarity.level_reference(
+        reference,
+        config.measure,
+        eta=config.eta,
+        mi_bins=config.mi_bins,
+        mi_parzen_sigma=config.mi_parzen_sigma,
+    )
 
 
 def _distance(warped, reference, config):
@@ -342,6 +357,7 @@ def register_level(template, reference, u0, config, level=0):
     _require_same_shape(template.geometry, reference.geometry, "register_level")
     _require_same_shape(template.geometry, u0.geometry, "register_level")
     template = fill_nodata(template)
+    reference = _level_reference(reference, config)
     geometry = u0.geometry
     trace = LevelTrace(level, geometry.width, geometry.height, config.solver)
     terms = {}  # D and S of the latest evaluation, the accepted one at callbacks
@@ -394,6 +410,7 @@ def register_level(template, reference, u0, config, level=0):
     finally:
         trace.wall_time = time.perf_counter() - t0
     trace.converged = result.converged
+    trace.evaluations = result.n_evals
     log.info(
         "level %d (%dx%d, %s): %d iterations, J=%.6e, converged=%s",
         level,

@@ -154,6 +154,7 @@ def test_trace_is_monotone_and_unregularized():
         objs = [r.objective for r in lt.records]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
         assert all(r.regularizer == 0.0 for r in lt.records)
+        assert lt.evaluations >= lt.iterations + 1
 
 
 def test_register_affine_validates_input(texture64):

@@ -40,6 +40,8 @@ for solver in ("l-bfgs", "gauss-newton"):
     )
     nonparametric.register_multilevel(tpl, ref, cfg)
 affine.register_affine(tpl, ref, "NGF", cfg)
+mi_cfg = nonparametric.RegistrationConfig(measure="MI", max_levels=1, max_iters_per_level=3)
+affine.register_affine(tpl, ref, "MI", mi_cfg)
 print(json.dumps({
     "metrics": spans.metrics(),
     "calls": dict(spans.calls),
@@ -55,6 +57,7 @@ EXPECTED_CALLS = (
     "curvature.bilaplacian",
     "curvature.energy",
     "similarity.ngf",
+    "similarity.mi",
     "optimize.minimize_lbfgs",
     "optimize.h0_solve",
     "nonparametric.fun_grad",
@@ -81,6 +84,7 @@ def test_tracer_hooks_are_called():
     metrics = out["metrics"]
     assert metrics["curvature.setup_calls"] > 0
     assert metrics["similarity.ngf_calls"] > 0
+    assert metrics["similarity.mi_calls"] > 0
     assert metrics["grid.stencil_calls"] > 0
     assert metrics["optimize.evals"] > 0
     missing = [name for name in EXPECTED_CALLS if not out["calls"].get(name)]

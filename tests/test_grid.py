@@ -442,6 +442,24 @@ def test_prolong_reproduces_coincident_nodes(rng):
     np.testing.assert_allclose(up.u_y[::2, ::2], 2.0 * u.u_y, atol=1e-12)
 
 
+def test_prolong_samples_each_component_on_its_own_terms(rng):
+    # both components share one bilinear cell computation; each must equal
+    # sampling that component alone
+    fine = GridGeometry(21, 15)
+    coarse = fine.coarsened()
+    u = DisplacementField(
+        coarse, rng.normal(size=coarse.shape), rng.normal(size=coarse.shape)
+    )
+    up = prolong(u, fine)
+    for component, got in ((u.u_x, up.u_x), (u.u_y, up.u_y)):
+        image = ScalarImage(coarse, component)
+        want = [
+            [2.0 * sample(image, x / 2.0, y / 2.0)[0] for x in range(fine.width)]
+            for y in range(fine.height)
+        ]
+        np.testing.assert_array_equal(got, want)
+
+
 def test_prolong_rejects_non_parent(geom16):
     u = DisplacementField.zero(geom16)
     with pytest.raises(GeometryError):

@@ -60,6 +60,11 @@ def test_config_rejects_unknown_names():
     ("rel_tolerance", 1.5),
     ("max_levels", 0),
     ("max_iters_per_level", 0),
+    ("mi_bins", 2),
+    ("mi_bins", 8.5),
+    ("mi_parzen_sigma", -1.0),
+    ("mi_parzen_sigma", float("nan")),
+    ("mi_parzen_sigma", float("inf")),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ParameterError):
@@ -176,6 +181,16 @@ def test_trace_objective_never_increases(solver):
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
     assert trace.records[0].iteration == 0
     assert trace.records[0].step_norm == 0.0
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_level_trace_counts_evaluations(solver):
+    # the start plus at least one evaluation per accepted iterate
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver=solver, max_iters_per_level=6)
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert trace.iterations >= 1
+    assert trace.evaluations >= trace.iterations + 1
 
 
 def test_translation_recovery_both_schemes():

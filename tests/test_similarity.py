@@ -3,6 +3,9 @@ finite differences."""
 
 import collections
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from fusereg.grid import GridGeometry, ScalarImage
 from fusereg.similarity import (
     MEASURES,
     evaluate,
+    level_reference,
     mi,
     ncc,
     ngf,
@@ -185,11 +189,145 @@ def test_mi_parameter_validation(geom16, rng):
         mi(t, t, bins=4)
     with pytest.raises(ParameterError):
         mi(t, t, parzen_sigma=-1.0)
+    with pytest.raises(ParameterError):
+        mi(t, t, parzen_sigma=float("nan"))
+    with pytest.raises(ParameterError):
+        mi(t, t, parzen_sigma=float("inf"))
+    with pytest.raises(ParameterError):
+        mi(t, t, bins=8.5)
+    with pytest.raises(ParameterError):
+        level_reference(t, "MI", mi_parzen_sigma=float("nan"))
     hot = t.with_values(t.values + 2.0)
     with pytest.raises(IntensityRangeError):
         mi(hot, t)
     with pytest.raises(IntensityRangeError):
         mi(t, hot)
+
+
+def _mi_oracle(template_w, reference, bins, sigma):
+    """Reference formula, tap by tap: (2R+2)^2 bincount passes for the
+    joint histogram and as many gathers for the derivative."""
+
+    def windows(c):
+        radius = int(np.ceil(5.0 * sigma))
+        base = np.ceil(c - radius)
+        offsets = np.arange(2 * radius + 2, dtype=np.float64)
+        j = base[None, :] + offsets[:, None]
+        dist = j - c[None, :]
+        inside = (np.abs(dist) <= radius) & (j >= 0) & (j <= bins - 1)
+        w = np.where(inside, np.exp(-0.5 * (dist / sigma) ** 2), 0.0)
+        w_hat = w / np.sum(w, axis=0)[None, :]
+        mu = np.sum(w_hat * dist, axis=0)
+        dw_hat = w_hat * (dist - mu[None, :]) / sigma**2
+        return np.clip(j, 0, bins - 1).astype(np.int64), w_hat, dw_hat
+
+    m = template_w.valid_mask & reference.valid_mask
+    n = int(np.sum(m))
+    idx_t, w_t, dw_t = windows(np.clip(template_w.values[m], 0.0, 1.0) * (bins - 1))
+    idx_r, w_r, _ = windows(np.clip(reference.values[m], 0.0, 1.0) * (bins - 1))
+    taps = idx_t.shape[0]
+    joint = np.zeros(bins * bins)
+    for a in range(taps):
+        for b in range(taps):
+            joint += np.bincount(
+                idx_t[a] * bins + idx_r[b], weights=w_t[a] * w_r[b], minlength=bins * bins
+            )
+    joint = joint.reshape(bins, bins) / n
+    pos = joint > 0.0
+    log_ratio = np.zeros_like(joint)
+    indep = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    log_ratio[pos] = np.log(joint[pos] / indep[pos])
+    value = -float(np.sum(joint[pos] * log_ratio[pos]))
+    grad = np.zeros(n)
+    for a in range(taps):
+        h_a = np.zeros(n)
+        for b in range(taps):
+            h_a += log_ratio[idx_t[a], idx_r[b]] * w_r[b]
+        grad += dw_t[a] * h_a
+    d_warped = np.zeros(template_w.geometry.shape)
+    d_warped[m] = grad * (-(bins - 1) / n)
+    return value, d_warped
+
+
+@pytest.fixture
+def masked_pair(rng):
+    """A non-square pair with a masked template block and a masked
+    reference strip, spanning the full intensity range."""
+    g = GridGeometry(70, 45)
+    base = rng.uniform(0.0, 1.0, g.shape)
+    t_mask = np.zeros(g.shape, bool)
+    t_mask[5:20, 30:50] = True
+    r_mask = np.zeros(g.shape, bool)
+    r_mask[:, :3] = True
+    t = ScalarImage(g, np.clip(base + rng.normal(0.0, 0.1, g.shape), 0.0, 1.0), t_mask)
+    r = ScalarImage(g, np.clip(np.sqrt(base) + rng.normal(0.0, 0.05, g.shape), 0.0, 1.0), r_mask)
+    return t, r
+
+
+@pytest.mark.parametrize("bins,sigma", [(8, 0.3), (16, 1.0), (64, 1.0), (32, 2.5)])
+def test_mi_matches_tap_by_tap_oracle(masked_pair, bins, sigma):
+    t, r = masked_pair
+    level = level_reference(r, "MI", mi_bins=bins, mi_parzen_sigma=sigma)
+    for tpl in (t, t.with_values(t.values, nodata=None)):
+        want_value, want_grad = _mi_oracle(tpl, r, bins, sigma)
+        res = mi(tpl, r, bins=bins, parzen_sigma=sigma)
+        assert res.value == pytest.approx(want_value, rel=1e-12)
+        np.testing.assert_allclose(
+            res.d_warped, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max()
+        )
+        np.testing.assert_array_equal(res.d_warped[~(tpl.valid_mask & r.valid_mask)], 0.0)
+        # the per-level reference band gives the plain-image result bit for bit
+        ctx = evaluate("MI", tpl, level, mi_bins=bins, mi_parzen_sigma=sigma)
+        assert ctx.value == res.value
+        np.testing.assert_array_equal(ctx.d_warped, res.d_warped)
+
+
+def test_level_reference_matches_plain_images(masked_pair):
+    t, r = masked_pair
+    gap_free = t.with_values(t.values, nodata=None)
+    for measure in MEASURES:
+        level = level_reference(r, measure, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
+        for tpl in (t, gap_free):
+            want = evaluate(measure, tpl, r, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
+            got = evaluate(measure, tpl, level, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
+            assert got.value == want.value
+            np.testing.assert_array_equal(got.d_warped, want.d_warped)
+    level = level_reference(r, "MI", mi_bins=32)
+    with pytest.raises(ParameterError):
+        evaluate("MI", t, level, mi_bins=16)
+    with pytest.raises(ParameterError):
+        evaluate("NGF", t, level)
+
+
+THREADS_SCRIPT = r"""
+import hashlib, sys
+import numpy as np
+from fusereg.grid import GridGeometry, ScalarImage
+from fusereg.similarity import mi
+
+rng = np.random.default_rng(7)
+g = GridGeometry(150, 110)
+base = rng.uniform(0.0, 1.0, g.shape)
+t = ScalarImage(g, base)
+r = ScalarImage(g, np.clip(0.6 * base + rng.uniform(0.0, 0.4, g.shape), 0.0, 1.0))
+res = mi(t, r, bins=64, parzen_sigma=1.0)
+print(repr(res.value), hashlib.sha256(res.d_warped.tobytes()).hexdigest())
+"""
+
+
+def test_mi_bytes_do_not_depend_on_thread_count():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_mi_rejects_empty_overlap(geom16, rng):
