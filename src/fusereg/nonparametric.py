@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import similarity
-from .curvature import SemiImplicitOperator, bilaplacian, curvature_energy
+from .curvature import SemiImplicitOperator, bilaplacian, curvature_energy, neumann_solve
 from .errors import DivergenceError, ParameterError
 from .grid import (
     DisplacementField,
@@ -197,11 +197,20 @@ def _objective_full(u, template, reference, config):
     return j, res.value, s_val, DisplacementField(u.geometry, gx, gy), (dtdx, dtdy)
 
 
+def _distance_force(u, template, reference, config):
+    """Distance value and its force field f = dD/du (no regularizer part)."""
+    res, dtdx, dtdy = _warped_distance(u, template, reference, config)
+    fx = -res.d_warped * dtdx
+    fy = -res.d_warped * dtdy
+    return res.value, DisplacementField(u.geometry, fx, fy)
+
+
 def _objective_parts(u, template, reference, config):
-    """Objective value and terms without the gradient (cheaper)."""
-    res, _, _ = _warped_distance(u, template, reference, config)
+    """Objective value, its two terms and the distance force, without the
+    regularizer gradient that the semi-implicit step treats implicitly."""
+    d_val, force = _distance_force(u, template, reference, config)
     s_val = curvature_energy(u)
-    return res.value + config.alpha * s_val, res.value, s_val
+    return d_val + config.alpha * s_val, d_val, s_val, force
 
 
 def objective(u, template, reference, config):
@@ -214,29 +223,32 @@ def objective(u, template, reference, config):
     return j, grad
 
 
-def _distance_force(u, template, reference, config):
-    """Force field f = dD/du (no regularizer part)."""
-    res, dtdx, dtdy = _warped_distance(u, template, reference, config)
-    fx = -res.d_warped * dtdx
-    fy = -res.d_warped * dtdy
-    return DisplacementField(u.geometry, fx, fy)
+def _implicit_step(u, force, operator):
+    """u' = (I + dt a B)^(-1) (u - dt f) with the operator's dt."""
+    dt = operator.dt
+    rhs = DisplacementField(u.geometry, u.u_x - dt * force.u_x, u.u_y - dt * force.u_y)
+    return operator.solve(rhs)
 
 
 def semi_implicit_step(u, template, reference, config, operator=None):
     """One implicit-regularizer step u' = (I + dt a B)^(-1) (u - dt f(u)).
 
     Returns the new field and the max-norm of the driving force.  Passing a
-    prebuilt operator avoids refactorizing; it must match config.alpha and
-    config.dt.
+    prebuilt operator avoids refactorizing; one built for another grid,
+    alpha or dt raises :class:`ParameterError`.
     """
     if operator is None:
         operator = SemiImplicitOperator(u.geometry, config.alpha, config.dt)
-    f = _distance_force(u, fill_nodata(template), reference, config)
-    rhs = DisplacementField(
-        u.geometry, u.u_x - config.dt * f.u_x, u.u_y - config.dt * f.u_y
-    )
-    u_next = operator.solve(rhs)
-    return u_next, f.max_norm()
+    else:
+        built = (operator.geometry.shape, operator.alpha, operator.dt)
+        wanted = (u.geometry.shape, config.alpha, config.dt)
+        if built != wanted:
+            raise ParameterError(
+                "operator was built for grid %s, alpha=%g, dt=%g; the step has "
+                "grid %s, alpha=%g, dt=%g" % (built + wanted)
+            )
+    _, f = _distance_force(u, fill_nodata(template), reference, config)
+    return _implicit_step(u, f, operator), f.max_norm()
 
 
 def _step_norm(x_new, x_old) -> float:
@@ -246,25 +258,22 @@ def _step_norm(x_new, x_old) -> float:
     return float(np.max(np.sqrt(d[:n] ** 2 + d[n:] ** 2)))
 
 
-def _semi_implicit_rule(template, reference, config):
+def _semi_implicit_rule(geometry, config):
     """Semi-implicit step rule for :func:`descend`: an implicit step,
-    halving dt until J does not rise.  dt never grows back, so only the
+    halving dt until J does not rise.  ``rest`` is the distance force at
+    ``x``, so a step warps nothing.  dt never grows back, so only the
     operator for the current dt is kept."""
-    geometry = template.geometry
     dt = config.dt
     operator = None
 
-    def step(fun, x, j, _):
+    def step(fun, x, j, force):
         nonlocal dt, operator
         u = DisplacementField.from_vector(geometry, x)
         while True:
             if operator is None or operator.dt != dt:
                 operator = None  # free the old factors before factorizing
                 operator = SemiImplicitOperator(geometry, config.alpha, dt)
-            u_try, force_norm = semi_implicit_step(
-                u, template, reference, replace(config, dt=dt), operator=operator
-            )
-            x_try = u_try.as_vector()
+            x_try = _implicit_step(u, force, operator).as_vector()
             j_try, rest = fun(x_try)
             if j_try <= j + 1e-12 * max(1.0, abs(j)):
                 return x_try, j_try, rest, _step_norm(x_try, x)
@@ -272,34 +281,37 @@ def _semi_implicit_rule(template, reference, config):
             if dt < config.dt * 2.0**-24:
                 raise DivergenceError(
                     "semi-implicit step cannot decrease the objective "
-                    "(force norm %.3e)" % force_norm
+                    "(force norm %.3e)" % force.max_norm()
                 )
 
     return step
 
 
-def _conjugate_gradient(apply_h, rhs, max_iters=100, rel_tol=1e-8):
-    """Plain CG on a symmetric positive definite operator."""
+def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8):
+    """Preconditioned CG on a symmetric positive definite operator; stops
+    once the residual norm falls below ``rel_tol`` times that of ``rhs``."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    p = r.copy()
-    rr = float(np.sum(r * r))
-    r0 = np.sqrt(rr)
+    r0 = np.sqrt(float(np.sum(r * r)))
     if r0 == 0.0:
         return x
+    z = precondition(r)
+    p = z
+    rz = float(np.sum(r * z))
     for _ in range(max_iters):
         hp = apply_h(p)
         php = float(np.sum(p * hp))
         if php <= 0.0:
             break
-        a = rr / php
+        a = rz / php
         x += a * p
         r -= a * hp
-        rr_new = float(np.sum(r * r))
-        if np.sqrt(rr_new) <= rel_tol * r0:
+        if np.sqrt(float(np.sum(r * r))) <= rel_tol * r0:
             break
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = precondition(r)
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x
 
 
@@ -317,6 +329,10 @@ def _gauss_newton_rule(geometry, alpha):
         h12 = dtdx * dtdy
         h22 = dtdy * dtdy
         mu = 1e-6 * max(1.0, float(np.mean(h11 + h22)))
+        # the DCT inverse of mu_bar I + alpha B_N, mu_bar the mean diagonal
+        # of the data blocks: exact on the curvature part away from the
+        # border, a scalar fit of the data part
+        mu_bar = 0.5 * float(np.mean(h11 + h22)) + mu
 
         def apply_h(vec):
             vx = vec[:n].reshape(shape)
@@ -327,7 +343,10 @@ def _gauss_newton_rule(geometry, alpha):
             oy = h12 * vx + h22 * vy + alpha * by + mu * vy
             return np.concatenate([ox.ravel(), oy.ravel()])
 
-        delta = _conjugate_gradient(apply_h, -g_vec)
+        def precondition(vec):
+            return neumann_solve(vec.reshape(2, *shape), alpha / mu_bar).ravel() / mu_bar
+
+        delta = _conjugate_gradient(apply_h, -g_vec, precondition)
         slope = float(np.sum(g_vec * delta))
         if not np.isfinite(slope) or slope >= 0.0:
             delta = -g_vec
@@ -369,8 +388,8 @@ def register_level(template, reference, u0, config, level=0):
 
     def parts(x):
         u = DisplacementField.from_vector(geometry, x)
-        j, terms["D"], terms["S"] = _objective_parts(u, template, reference, config)
-        return j, None
+        j, terms["D"], terms["S"], force = _objective_parts(u, template, reference, config)
+        return j, force
 
     def fun_grad(x):
         j, (grad, _) = full(x)
@@ -388,18 +407,15 @@ def register_level(template, reference, u0, config, level=0):
     t0 = time.perf_counter()
     try:
         if config.solver == "semi-implicit":
-            result = descend(parts, x0, _semi_implicit_rule(template, reference, config), **limits)
+            result = descend(parts, x0, _semi_implicit_rule(geometry, config), **limits)
         elif config.solver == "gauss-newton":
             result = descend(full, x0, _gauss_newton_rule(geometry, config.alpha), **limits)
         else:
-            # seed the quasi-Newton model with (I + alpha B)^(-1): the stiff
+            # seed the quasi-Newton model with (I + alpha B_N)^(-1): the stiff
             # curvature block dominates the Hessian spectrum and an identity
             # seed forces thousands of tiny steps
-            operator = SemiImplicitOperator(geometry, config.alpha, 1.0)
-
             def h0_solve(vec):
-                v = DisplacementField.from_vector(geometry, vec)
-                return operator.solve(v).as_vector()
+                return neumann_solve(vec.reshape(2, *geometry.shape), config.alpha).ravel()
 
             cap = config.trust_radius if config.solver == "trust-region" else None
             result = minimize_lbfgs(fun_grad, x0, step_cap=cap, h0_solve=h0_solve, **limits)
@@ -411,6 +427,11 @@ def register_level(template, reference, u0, config, level=0):
         trace.wall_time = time.perf_counter() - t0
     trace.converged = result.converged
     trace.evaluations = result.n_evals
+    if trace.iterations == 0:
+        log.warning(
+            "level %d (%dx%d, %s) stopped at iteration 0: the field did not move",
+            level, geometry.width, geometry.height, config.solver,
+        )
     log.info(
         "level %d (%dx%d, %s): %d iterations, J=%.6e, converged=%s",
         level,

@@ -34,7 +34,7 @@ facts.install()
 g = GridGeometry(40, 40)
 ref = synthetic_texture(g, seed=3, smoothness=2.0)
 tpl = warp(ref, DisplacementField(g, np.full(g.shape, 0.7), np.full(g.shape, -0.4)))
-for solver in ("l-bfgs", "gauss-newton"):
+for solver in ("l-bfgs", "gauss-newton", "semi-implicit"):
     cfg = nonparametric.RegistrationConfig(
         measure="NGF", alpha=50.0, solver=solver, max_levels=1, max_iters_per_level=3
     )

@@ -8,6 +8,7 @@ from fusereg.curvature import (
     bilaplacian,
     curvature_energy,
     laplacian_matrix,
+    neumann_solve,
 )
 from fusereg.errors import ParameterError
 from fusereg.grid import (
@@ -147,3 +148,67 @@ def test_operator_parameter_validation(geom16):
             SemiImplicitOperator(geom16, alpha=bad, dt=1.0)
         with pytest.raises(ParameterError):
             SemiImplicitOperator(geom16, alpha=1.0, dt=bad)
+
+
+# ---------------------------------------------------------------------------
+# reflecting-boundary (DCT) preconditioner
+
+
+def neumann_bilaplacian_matrix(height, width):
+    """Dense B_N = L_N^T L_N, L_N built from the reflecting second
+    difference with end rows [-1, 1] and [1, -1]."""
+
+    def second_difference(n):
+        d = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        d[0, 0] = d[-1, -1] = -1.0
+        return d
+
+    lap = np.kron(np.eye(height), second_difference(width)) + np.kron(
+        second_difference(height), np.eye(width)
+    )
+    return lap.T @ lap
+
+
+@pytest.mark.parametrize("height,width", [(7, 5), (12, 9)])
+@pytest.mark.parametrize("c", [0.01, 1.0, 50.0])
+def test_neumann_solve_inverts_dense_operator(height, width, c, rng):
+    dense = np.eye(height * width) + c * neumann_bilaplacian_matrix(height, width)
+    v = rng.normal(size=(2, height, width))
+    got = neumann_solve(v, c)
+    want = np.stack([np.linalg.solve(dense, plane.ravel()).reshape(height, width) for plane in v])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    # a single plane solves the same as inside a stack
+    np.testing.assert_allclose(neumann_solve(v[1], c), got[1], rtol=1e-12, atol=1e-15)
+
+
+def test_neumann_solve_is_symmetric_positive_definite():
+    # the solve applied to every unit plane gives its dense matrix
+    height, width, c = 12, 9, 50.0
+    n = height * width
+    inverse = neumann_solve(np.eye(n).reshape(n, height, width), c).reshape(n, n)
+    np.testing.assert_allclose(inverse, inverse.T, atol=1e-15)
+    eig = np.linalg.eigvalsh(0.5 * (inverse + inverse.T))
+    assert eig.min() > 0.0
+    assert eig.max() <= 1.0 + 1e-12
+
+
+def test_neumann_solve_symmetric_on_random_fields(rng):
+    u = rng.normal(size=(2, 20, 24))
+    v = rng.normal(size=(2, 20, 24))
+    lhs = float(np.sum(neumann_solve(u, 5000.0) * v))
+    rhs = float(np.sum(u * neumann_solve(v, 5000.0)))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert float(np.sum(u * neumann_solve(u, 5000.0))) > 0.0
+
+
+def test_neumann_bilaplacian_matches_interior_of_bilaplacian(rng):
+    height, width = 12, 9
+    g = GridGeometry(width, height)
+    u = random_field(g, rng)
+    b_n = neumann_bilaplacian_matrix(height, width)
+    want = bilaplacian(u)
+    for got, ref in ((b_n @ u.u_x.ravel(), want.u_x), (b_n @ u.u_y.ravel(), want.u_y)):
+        got = got.reshape(height, width)
+        np.testing.assert_allclose(got[2:-2, 2:-2], ref[2:-2, 2:-2], rtol=1e-12, atol=1e-12)
+        # the two boundary models differ next to the border
+        assert not np.allclose(got, ref)

@@ -1,5 +1,9 @@
 """Variational registration: objective, solvers, multilevel scheme."""
 
+import logging
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from fusereg import nonparametric
 from fusereg.curvature import SemiImplicitOperator, curvature_energy
 from fusereg.errors import DivergenceError, GeometryError, IntensityRangeError, ParameterError
-from fusereg.evaluation import endpoint_error, synthetic_texture
+from fusereg.evaluation import SyntheticDeformation, endpoint_error, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
 from fusereg.nonparametric import (
     SOLVERS,
@@ -154,6 +158,19 @@ def test_semi_implicit_step_accepts_prebuilt_operator(texture64):
     np.testing.assert_array_equal(a.u_y, b.u_y)
 
 
+def test_semi_implicit_step_rejects_mismatched_operator(texture64):
+    r = texture64.with_values(np.roll(texture64.values, 1, axis=1))
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, dt=1.0)
+    u0 = DisplacementField.zero(texture64.geometry)
+    for alpha, dt in ((50.0, 0.25), (1.0, 0.5), (2.0, 1.0)):
+        op = SemiImplicitOperator(texture64.geometry, alpha, dt)
+        with pytest.raises(ParameterError, match="alpha=%g, dt=%g; the step" % (alpha, dt)):
+            semi_implicit_step(u0, texture64, r, cfg, operator=op)
+    op = SemiImplicitOperator(GridGeometry(32, 32), cfg.alpha, cfg.dt)
+    with pytest.raises(ParameterError, match=r"grid \(32, 32\)"):
+        semi_implicit_step(u0, texture64, r, cfg, operator=op)
+
+
 # ---------------------------------------------------------------------------
 # single-level solvers
 
@@ -239,6 +256,62 @@ def test_gauss_newton_warps_once_per_evaluation(monkeypatch):
     assert counts["warps"] == counts["evals"]
 
 
+def test_semi_implicit_warps_once_per_evaluation(monkeypatch):
+    # the implicit step reuses the force of the accepted evaluation, also
+    # across dt halvings
+    counts = {"warps": 0, "evals": 0}
+    warp_with_jacobian = nonparametric.warp_with_jacobian
+    objective_parts = nonparametric._objective_parts
+
+    def counted_warp(*args, **kwargs):
+        counts["warps"] += 1
+        return warp_with_jacobian(*args, **kwargs)
+
+    def counted_objective(*args, **kwargs):
+        counts["evals"] += 1
+        return objective_parts(*args, **kwargs)
+
+    monkeypatch.setattr(nonparametric, "warp_with_jacobian", counted_warp)
+    monkeypatch.setattr(nonparametric, "_objective_parts", counted_objective)
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=1.0, solver="semi-implicit", dt=1000.0, max_iters_per_level=10
+    )
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert trace.iterations >= 2
+    assert counts["warps"] == counts["evals"] == trace.evaluations
+
+
+def test_gauss_newton_cg_stops_before_its_cap(monkeypatch):
+    # preconditioned by the DCT solve, every inner CG reaches its tolerance
+    matvecs = []
+    conjugate_gradient = nonparametric._conjugate_gradient
+
+    def counted(apply_h, rhs, *args, **kwargs):
+        calls = [0]
+
+        def counted_h(vec):
+            calls[0] += 1
+            return apply_h(vec)
+
+        out = conjugate_gradient(counted_h, rhs, *args, **kwargs)
+        matvecs.append(calls[0])
+        return out
+
+    monkeypatch.setattr(nonparametric, "_conjugate_gradient", counted)
+    g = GridGeometry(64, 64)
+    ref = synthetic_texture(g, seed=11, smoothness=2.0)
+    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=3.0, sigma=10.0)
+    tem = warp(ref, bump.realized(g))
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=5.0, solver="gauss-newton", max_iters_per_level=20
+    )
+    _, trace = register_level(tem, ref, DisplacementField.zero(g), cfg)
+    assert trace.iterations >= 2
+    assert len(matvecs) >= trace.iterations
+    assert max(matvecs) < 100
+
+
 def test_semi_implicit_keeps_only_the_current_operator(monkeypatch):
     # dt halves three times here; each new factorization starts only after
     # the previous operator is gone
@@ -312,6 +385,60 @@ def test_semi_implicit_divergence_carries_level_and_partial_trace(monkeypatch):
     assert level_trace.records[0].iteration == 0
     assert not level_trace.converged
     assert level_trace.wall_time > 0.0
+
+
+def test_level_stopped_at_iteration_zero_warns(texture64, caplog):
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver="l-bfgs")
+    with caplog.at_level(logging.WARNING, logger="fusereg.nonparametric"):
+        _, trace = register_level(
+            texture64, texture64, DisplacementField.zero(texture64.geometry), cfg, level=2
+        )
+    assert trace.iterations == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "level 2 (64x64, l-bfgs) stopped at iteration 0" in warnings[0]
+    caplog.clear()
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver="l-bfgs", max_iters_per_level=3)
+    with caplog.at_level(logging.WARNING, logger="fusereg.nonparametric"):
+        _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert trace.iterations > 0
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+THREADS_SCRIPT = r"""
+import hashlib
+import numpy as np
+from fusereg.evaluation import synthetic_texture
+from fusereg.grid import DisplacementField, GridGeometry, warp
+from fusereg.nonparametric import RegistrationConfig, register_multilevel
+
+g = GridGeometry(48, 40)
+ref = synthetic_texture(g, seed=3, smoothness=2.0)
+tem = warp(ref, DisplacementField(g, np.full(g.shape, 0.7), np.full(g.shape, -0.4)))
+for solver in ("l-bfgs", "gauss-newton"):
+    cfg = RegistrationConfig(measure="SSD", alpha=5.0, solver=solver, max_levels=2,
+                             max_iters_per_level=15)
+    u, trace = register_multilevel(tem, ref, cfg)
+    digest = hashlib.sha256(u.as_vector().tobytes() + trace.to_text().encode())
+    print(solver, trace.total_iterations(), digest.hexdigest())
+"""
+
+
+def test_registration_bytes_do_not_depend_on_thread_count():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_register_level_fills_template_gaps():
