@@ -8,8 +8,8 @@ and affine motions pass through the regularizer for free.
 
 Its reflecting-boundary counterpart is diagonal in the 2-D DCT, which
 makes :func:`neumann_solve` a fast curvature preconditioner for the
-iterative solvers; the semi-implicit step needs the exact inverse and
-factorizes :class:`SemiImplicitOperator`.
+iterative solvers; the semi-implicit direction needs the exact inverse and
+factorizes :class:`SemiImplicitOperator`, once per pyramid level.
 
 Everything here works in pixel units: the physical grid spacing only
 rescales alpha, and keeping the operator dimensionless makes parameter

@@ -30,10 +30,11 @@ class PlacementError(FuseRegError):
 
 
 class DivergenceError(FuseRegError):
-    """An iterative solver failed to produce a monotone objective decrease.
+    """An iterative solver cannot start: the objective is not finite at
+    the starting point.  (A solver that finds no decrease stops instead.)
 
-    Carries the partial iteration trace so callers can inspect what happened
-    before the failure.
+    Carries the partial iteration trace and the pyramid level so callers
+    can inspect what happened before the failure.
     """
 
     def __init__(self, message, trace=None, level=None):

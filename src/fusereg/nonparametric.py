@@ -7,9 +7,10 @@ Seeks a per-pixel displacement u minimizing
 with D one of the intensity distances and S the curvature regularizer.
 Registration runs coarse to fine over an image pyramid; each level is
 solved by one of four step rules of the one descent loop
-:func:`fusereg.optimize.descend`: a semi-implicit fixed-point iteration on
-the Euler-Lagrange equations, limited-memory BFGS, a step-capped
-trust-region variant, or Gauss-Newton with per-pixel Hessian blocks.
+:func:`fusereg.optimize.descend`: limited-memory BFGS, a step-capped
+trust-region variant, or one Armijo line search along either the
+semi-implicit step of the Euler-Lagrange equations or a Gauss-Newton step
+with per-pixel Hessian blocks.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ class RegistrationConfig:
                 raise ParameterError("%s must be finite and positive" % name)
         if not (0.0 < self.rel_tolerance < 1.0):
             raise ParameterError("rel_tolerance must lie in (0, 1)")
-        if self.max_levels < 1 or self.max_iters_per_level < 1:
-            raise ParameterError("level and iteration counts must be >= 1")
+        for name in ("max_levels", "max_iters_per_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ParameterError("%s must be an integer >= 1" % name)
 
 
 @dataclass
@@ -197,22 +200,6 @@ def _objective_full(u, template, reference, config):
     return j, res.value, s_val, DisplacementField(u.geometry, gx, gy), (dtdx, dtdy)
 
 
-def _distance_force(u, template, reference, config):
-    """Distance value and its force field f = dD/du (no regularizer part)."""
-    res, dtdx, dtdy = _warped_distance(u, template, reference, config)
-    fx = -res.d_warped * dtdx
-    fy = -res.d_warped * dtdy
-    return res.value, DisplacementField(u.geometry, fx, fy)
-
-
-def _objective_parts(u, template, reference, config):
-    """Objective value, its two terms and the distance force, without the
-    regularizer gradient that the semi-implicit step treats implicitly."""
-    d_val, force = _distance_force(u, template, reference, config)
-    s_val = curvature_energy(u)
-    return d_val + config.alpha * s_val, d_val, s_val, force
-
-
 def objective(u, template, reference, config):
     """J(u) and dJ/du for normalized images on a common grid."""
     _require_same_shape(template.geometry, u.geometry, "objective")
@@ -223,19 +210,24 @@ def objective(u, template, reference, config):
     return j, grad
 
 
-def _implicit_step(u, force, operator):
-    """u' = (I + dt a B)^(-1) (u - dt f) with the operator's dt."""
-    dt = operator.dt
-    rhs = DisplacementField(u.geometry, u.u_x - dt * force.u_x, u.u_y - dt * force.u_y)
-    return operator.solve(rhs)
+def _implicit_direction(operator):
+    """Semi-implicit direction for :func:`_line_search_rule`: with ``rest``
+    holding the gradient g = f + a B u at u, d = -dt (I + dt a B)^(-1) g,
+    so u + d is the implicit step (I + dt a B)^(-1) (u - dt f)."""
+
+    def direction(rest):
+        g = DisplacementField.from_vector(operator.geometry, rest[0])
+        return -operator.dt * operator.solve(g).as_vector()
+
+    return direction
 
 
 def semi_implicit_step(u, template, reference, config, operator=None):
     """One implicit-regularizer step u' = (I + dt a B)^(-1) (u - dt f(u)).
 
-    Returns the new field and the max-norm of the driving force.  Passing a
-    prebuilt operator avoids refactorizing; one built for another grid,
-    alpha or dt raises :class:`ParameterError`.
+    Returns the new field and the max-norm of the gradient dJ/du = f + a B u
+    that drives it.  Passing a prebuilt operator avoids refactorizing; one
+    built for another grid, alpha or dt raises :class:`ParameterError`.
     """
     if operator is None:
         operator = SemiImplicitOperator(u.geometry, config.alpha, config.dt)
@@ -247,8 +239,10 @@ def semi_implicit_step(u, template, reference, config, operator=None):
                 "operator was built for grid %s, alpha=%g, dt=%g; the step has "
                 "grid %s, alpha=%g, dt=%g" % (built + wanted)
             )
-    _, f = _distance_force(u, fill_nodata(template), reference, config)
-    return _implicit_step(u, f, operator), f.max_norm()
+    _, _, _, grad, jac = _objective_full(u, fill_nodata(template), reference, config)
+    x = u.as_vector()
+    d = _implicit_direction(operator)((grad.as_vector(), jac))
+    return DisplacementField.from_vector(u.geometry, x + d), grad.max_norm()
 
 
 def _step_norm(x_new, x_old) -> float:
@@ -256,35 +250,6 @@ def _step_norm(x_new, x_old) -> float:
     d = x_new - x_old
     n = d.size // 2
     return float(np.max(np.sqrt(d[:n] ** 2 + d[n:] ** 2)))
-
-
-def _semi_implicit_rule(geometry, config):
-    """Semi-implicit step rule for :func:`descend`: an implicit step,
-    halving dt until J does not rise.  ``rest`` is the distance force at
-    ``x``, so a step warps nothing.  dt never grows back, so only the
-    operator for the current dt is kept."""
-    dt = config.dt
-    operator = None
-
-    def step(fun, x, j, force):
-        nonlocal dt, operator
-        u = DisplacementField.from_vector(geometry, x)
-        while True:
-            if operator is None or operator.dt != dt:
-                operator = None  # free the old factors before factorizing
-                operator = SemiImplicitOperator(geometry, config.alpha, dt)
-            x_try = _implicit_step(u, force, operator).as_vector()
-            j_try, rest = fun(x_try)
-            if j_try <= j + 1e-12 * max(1.0, abs(j)):
-                return x_try, j_try, rest, _step_norm(x_try, x)
-            dt *= 0.5
-            if dt < config.dt * 2.0**-24:
-                raise DivergenceError(
-                    "semi-implicit step cannot decrease the objective "
-                    "(force norm %.3e)" % force.max_norm()
-                )
-
-    return step
 
 
 def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8):
@@ -315,15 +280,14 @@ def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8)
     return x
 
 
-def _gauss_newton_rule(geometry, alpha):
-    """Gauss-Newton step rule for :func:`descend`: Armijo search along a CG
-    solution of the Gauss-Newton system, or along -g where that fails.
-    ``rest`` is the gradient and the warp Jacobian ``(dtdx, dtdy)`` at
-    ``x``, which the Hessian blocks reuse."""
+def _gauss_newton_direction(geometry, alpha):
+    """Gauss-Newton direction for :func:`_line_search_rule`: a CG solution
+    of the Gauss-Newton system.  ``rest`` is the gradient and the warp
+    Jacobian ``(dtdx, dtdy)`` there, which the Hessian blocks reuse."""
     n = geometry.width * geometry.height
     shape = geometry.shape
 
-    def step(fun, x, j, rest):
+    def direction(rest):
         g_vec, (dtdx, dtdy) = rest
         h11 = dtdx * dtdx
         h12 = dtdx * dtdy
@@ -346,14 +310,26 @@ def _gauss_newton_rule(geometry, alpha):
         def precondition(vec):
             return neumann_solve(vec.reshape(2, *shape), alpha / mu_bar).ravel() / mu_bar
 
-        delta = _conjugate_gradient(apply_h, -g_vec, precondition)
+        return _conjugate_gradient(apply_h, -g_vec, precondition)
+
+    return direction
+
+
+def _line_search_rule(direction):
+    """Step rule for :func:`descend`: Armijo search from t = 1 along
+    ``direction(rest)``, or along -g where that is no descent direction
+    or finds no decrease.  ``rest[0]`` is the gradient at ``x``."""
+
+    def step(fun, x, j, rest):
+        g_vec = rest[0]
+        delta = direction(rest)
         slope = float(np.sum(g_vec * delta))
         if not np.isfinite(slope) or slope >= 0.0:
             delta = -g_vec
             slope = float(np.sum(g_vec * delta))
         hit = armijo_backtrack(fun, x, j, delta, slope)
         if hit is None and not np.array_equal(delta, -g_vec):
-            # the quadratic model can be useless where the interpolant kinks
+            # the model can be useless where the interpolant kinks
             # (integer-aligned u); steepest descent still gets off the spot
             hit = armijo_backtrack(fun, x, j, -g_vec, -float(np.sum(g_vec * g_vec)))
         if hit is None:
@@ -368,10 +344,11 @@ def register_level(template, reference, u0, config, level=0):
     """Run the configured solver on one pyramid level.
 
     Every solver is a step rule of :func:`fusereg.optimize.descend`
-    (l-BFGS and trust-region through :func:`minimize_lbfgs`).  The
-    iteration history never shows an objective increase; a solver that
-    cannot decrease J, or a non-finite J at ``u0``, raises
-    :class:`DivergenceError` with the partial trace attached.
+    (l-BFGS and trust-region through :func:`minimize_lbfgs`, semi-implicit
+    and Gauss-Newton through :func:`_line_search_rule`).  The iteration
+    history never shows an objective increase; a solver that finds no
+    decrease stops there.  Only a non-finite J at ``u0`` raises
+    :class:`DivergenceError`, with the partial trace attached.
     """
     _require_same_shape(template.geometry, reference.geometry, "register_level")
     _require_same_shape(template.geometry, u0.geometry, "register_level")
@@ -385,11 +362,6 @@ def register_level(template, reference, u0, config, level=0):
         u = DisplacementField.from_vector(geometry, x)
         j, terms["D"], terms["S"], grad, jac = _objective_full(u, template, reference, config)
         return j, (grad.as_vector(), jac)
-
-    def parts(x):
-        u = DisplacementField.from_vector(geometry, x)
-        j, terms["D"], terms["S"], force = _objective_parts(u, template, reference, config)
-        return j, force
 
     def fun_grad(x):
         j, (grad, _) = full(x)
@@ -407,9 +379,13 @@ def register_level(template, reference, u0, config, level=0):
     t0 = time.perf_counter()
     try:
         if config.solver == "semi-implicit":
-            result = descend(parts, x0, _semi_implicit_rule(geometry, config), **limits)
+            # factorized once per level: the line search scales the step,
+            # dt stays fixed
+            operator = SemiImplicitOperator(geometry, config.alpha, config.dt)
+            result = descend(full, x0, _line_search_rule(_implicit_direction(operator)), **limits)
         elif config.solver == "gauss-newton":
-            result = descend(full, x0, _gauss_newton_rule(geometry, config.alpha), **limits)
+            direction = _gauss_newton_direction(geometry, config.alpha)
+            result = descend(full, x0, _line_search_rule(direction), **limits)
         else:
             # seed the quasi-Newton model with (I + alpha B_N)^(-1): the stiff
             # curvature block dominates the Hessian spectrum and an identity

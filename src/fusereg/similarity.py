@@ -97,6 +97,13 @@ def check_mi_parameters(bins, parzen_sigma):
         raise ParameterError("mi needs an integer number of bins >= 8")
     if not (math.isfinite(parzen_sigma) and parzen_sigma >= 0.0):
         raise ParameterError("parzen_sigma must be finite and >= 0")
+    # a pixel's nearest tap can sit half a bin from it; where even that
+    # weight underflows, windows normalize to 0/0
+    if parzen_sigma > 0.0 and math.exp(-0.125 / parzen_sigma**2) == 0.0:
+        raise ParameterError(
+            "parzen_sigma %g is so small that the Parzen window underflows; "
+            "use 0 (nearest bin) or a value >= 0.013" % parzen_sigma
+        )
 
 
 def _bin_coordinates(values: np.ndarray, bins: int) -> np.ndarray:

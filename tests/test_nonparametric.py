@@ -4,7 +4,6 @@ import logging
 import os
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -64,11 +63,20 @@ def test_config_rejects_unknown_names():
     ("rel_tolerance", 1.5),
     ("max_levels", 0),
     ("max_iters_per_level", 0),
+    ("max_levels", 1.5),
+    ("max_levels", 2.0),
+    ("max_levels", float("nan")),
+    ("max_levels", True),
+    ("max_iters_per_level", 2.5),
+    ("max_iters_per_level", float("inf")),
+    ("max_iters_per_level", True),
     ("mi_bins", 2),
     ("mi_bins", 8.5),
     ("mi_parzen_sigma", -1.0),
     ("mi_parzen_sigma", float("nan")),
     ("mi_parzen_sigma", float("inf")),
+    ("mi_parzen_sigma", 1e-3),
+    ("mi_parzen_sigma", 0.0125),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ParameterError):
@@ -257,11 +265,11 @@ def test_gauss_newton_warps_once_per_evaluation(monkeypatch):
 
 
 def test_semi_implicit_warps_once_per_evaluation(monkeypatch):
-    # the implicit step reuses the force of the accepted evaluation, also
-    # across dt halvings
+    # the implicit direction reuses the gradient of the accepted evaluation,
+    # also across line-search backtracks
     counts = {"warps": 0, "evals": 0}
     warp_with_jacobian = nonparametric.warp_with_jacobian
-    objective_parts = nonparametric._objective_parts
+    objective_full = nonparametric._objective_full
 
     def counted_warp(*args, **kwargs):
         counts["warps"] += 1
@@ -269,10 +277,10 @@ def test_semi_implicit_warps_once_per_evaluation(monkeypatch):
 
     def counted_objective(*args, **kwargs):
         counts["evals"] += 1
-        return objective_parts(*args, **kwargs)
+        return objective_full(*args, **kwargs)
 
     monkeypatch.setattr(nonparametric, "warp_with_jacobian", counted_warp)
-    monkeypatch.setattr(nonparametric, "_objective_parts", counted_objective)
+    monkeypatch.setattr(nonparametric, "_objective_full", counted_objective)
     tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
     cfg = RegistrationConfig(
         measure="SSD", alpha=1.0, solver="semi-implicit", dt=1000.0, max_iters_per_level=10
@@ -312,27 +320,25 @@ def test_gauss_newton_cg_stops_before_its_cap(monkeypatch):
     assert max(matvecs) < 100
 
 
-def test_semi_implicit_keeps_only_the_current_operator(monkeypatch):
-    # dt halves three times here; each new factorization starts only after
-    # the previous operator is gone
+def test_semi_implicit_factorizes_once_per_level(monkeypatch):
+    # the line search shortens the step along one direction; dt, and with
+    # it the operator, stays fixed for the whole level
     made = []
-    alive_at_build = []
 
     class Recorded(SemiImplicitOperator):
         def __init__(self, *args, **kwargs):
-            alive_at_build.append(sum(ref() is not None for ref in made))
             super().__init__(*args, **kwargs)
-            made.append(weakref.ref(self))
+            made.append((self.geometry.shape, self.dt))
 
     monkeypatch.setattr(nonparametric, "SemiImplicitOperator", Recorded)
-    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    tem, ref = translation_pair(n=64, shift=(1.0, 0.5), seed=3)
     cfg = RegistrationConfig(
         measure="SSD", alpha=1.0, solver="semi-implicit", dt=1000.0,
-        max_iters_per_level=10,
+        max_levels=2, max_iters_per_level=10,
     )
-    register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
-    assert len(made) == 4
-    assert alive_at_build == [0, 0, 0, 0]
+    _, trace = register_multilevel(tem, ref, cfg)
+    assert [lt.iterations >= 2 for lt in trace.levels] == [True, True]
+    assert made == [((32, 32), 1000.0), ((64, 64), 1000.0)]
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -359,7 +365,31 @@ def test_iteration_cap_is_not_convergence(solver):
 
 
 def test_semi_implicit_divergence_carries_level_and_partial_trace(monkeypatch):
-    # a solve that adds noise makes every step raise J, however small dt gets
+    # a non-finite objective on the fine level only: the coarse level
+    # completes, the fine one raises at its start
+    energy = nonparametric.curvature_energy
+
+    def broken_on_level0(u):
+        return float("nan") if u.geometry.width == 64 else energy(u)
+
+    monkeypatch.setattr(nonparametric, "curvature_energy", broken_on_level0)
+    tem, ref = translation_pair(n=64, shift=(1.0, 0.5), seed=3)
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver="semi-implicit", max_levels=2)
+    with pytest.raises(DivergenceError, match="not finite at the starting point") as info:
+        register_multilevel(tem, ref, cfg)
+    err = info.value
+    assert err.level == 0
+    assert [lt.level for lt in err.trace.levels] == [1, 0]
+    assert err.trace.levels[0].iterations >= 1
+    level_trace = err.trace.levels[1]
+    assert level_trace.records == []
+    assert not level_trace.converged
+    assert level_trace.wall_time > 0.0
+
+
+def test_semi_implicit_survives_a_noisy_solve(monkeypatch):
+    # a solve that adds noise spoils the implicit direction; the line search
+    # falls back to -g instead of raising, and J never rises
     rng = np.random.default_rng(5)
 
     class Noisy(SemiImplicitOperator):
@@ -374,17 +404,15 @@ def test_semi_implicit_divergence_carries_level_and_partial_trace(monkeypatch):
 
     monkeypatch.setattr(nonparametric, "SemiImplicitOperator", Noisy)
     tem, ref = translation_pair(n=64, shift=(1.0, 0.5), seed=3)
-    cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver="semi-implicit", max_levels=2)
-    with pytest.raises(DivergenceError, match="cannot decrease") as info:
-        register_multilevel(tem, ref, cfg)
-    err = info.value
-    assert err.level == 1
-    assert [lt.level for lt in err.trace.levels] == [1]
-    level_trace = err.trace.levels[0]
-    assert len(level_trace.records) == 1
-    assert level_trace.records[0].iteration == 0
-    assert not level_trace.converged
-    assert level_trace.wall_time > 0.0
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=1.0, solver="semi-implicit", max_levels=2, max_iters_per_level=20
+    )
+    _, trace = register_multilevel(tem, ref, cfg)
+    assert [lt.level for lt in trace.levels] == [1, 0]
+    for lt in trace.levels:
+        objs = [r.objective for r in lt.records]
+        assert lt.iterations >= 1
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
 
 
 def test_level_stopped_at_iteration_zero_warns(texture64, caplog):

@@ -195,6 +195,14 @@ def test_mi_parameter_validation(geom16, rng):
         mi(t, t, parzen_sigma=float("inf"))
     with pytest.raises(ParameterError):
         mi(t, t, bins=8.5)
+    # windows narrower than this underflow to 0/0 at the half-bin tap
+    for sigma in (1e-3, 0.0125):
+        with pytest.raises(ParameterError, match="underflows"):
+            mi(t, t, parzen_sigma=sigma)
+        with pytest.raises(ParameterError, match="underflows"):
+            level_reference(t, "MI", mi_parzen_sigma=sigma)
+    for sigma in (0.0, 0.013):
+        assert np.isfinite(mi(t, t, parzen_sigma=sigma).value)
     with pytest.raises(ParameterError):
         level_reference(t, "MI", mi_parzen_sigma=float("nan"))
     hot = t.with_values(t.values + 2.0)
