@@ -65,7 +65,6 @@ from .nonparametric import (
     objective,
     register_level,
     register_multilevel,
-    semi_implicit_step,
 )
 from .similarity import NgfField, SimilarityResult, mi, ncc, ngf, ngf_field, ssd
 
@@ -128,7 +127,6 @@ __all__ = [
     "run_experiment",
     "sample",
     "select_band",
-    "semi_implicit_step",
     "ssd",
     "synthetic_texture",
     "warp",

@@ -140,8 +140,8 @@ def rasterize_lidar(
     with nodes on multiples of the cell size.  Cells receiving no points
     come back as nodata.
     """
-    if cell_size <= 0:
-        raise ParameterError("cell_size must be positive")
+    if not (np.isfinite(cell_size) and cell_size > 0):
+        raise ParameterError("cell_size must be finite and positive")
     if geometry is None:
         min_e = np.floor(float(np.min(cloud.easting)) / cell_size) * cell_size
         min_n = np.floor(float(np.min(cloud.northing)) / cell_size) * cell_size

@@ -176,22 +176,16 @@ def _distance(warped, reference, config):
     )
 
 
-def _warped_distance(u, template, reference, config):
-    """Distance of the warped template to the reference, plus the warp's
-    Jacobian: ``(result, dtdx, dtdy)``.
+def _objective_full(u, template, reference, config):
+    """Objective value, its two terms, the gradient field, and the warp's
+    Jacobian ``(dtdx, dtdy)``.
 
     The template must be gap free (see :func:`fill_nodata`); it is sampled
     with edge clamping so the objective stays continuous in u.  The
     distance is evaluated over the reference's static valid mask.
     """
     warped, dtdx, dtdy, _ = warp_with_jacobian(template, u, edge_clamp=True)
-    return _distance(warped, reference, config), dtdx, dtdy
-
-
-def _objective_full(u, template, reference, config):
-    """Objective value, its two terms, the gradient field, and the warp's
-    Jacobian ``(dtdx, dtdy)``."""
-    res, dtdx, dtdy = _warped_distance(u, template, reference, config)
+    res = _distance(warped, reference, config)
     s_val = curvature_energy(u)
     j = res.value + config.alpha * s_val
     breg = bilaplacian(u)
@@ -220,29 +214,6 @@ def _implicit_direction(operator):
         return -operator.dt * operator.solve(g).as_vector()
 
     return direction
-
-
-def semi_implicit_step(u, template, reference, config, operator=None):
-    """One implicit-regularizer step u' = (I + dt a B)^(-1) (u - dt f(u)).
-
-    Returns the new field and the max-norm of the gradient dJ/du = f + a B u
-    that drives it.  Passing a prebuilt operator avoids refactorizing; one
-    built for another grid, alpha or dt raises :class:`ParameterError`.
-    """
-    if operator is None:
-        operator = SemiImplicitOperator(u.geometry, config.alpha, config.dt)
-    else:
-        built = (operator.geometry.shape, operator.alpha, operator.dt)
-        wanted = (u.geometry.shape, config.alpha, config.dt)
-        if built != wanted:
-            raise ParameterError(
-                "operator was built for grid %s, alpha=%g, dt=%g; the step has "
-                "grid %s, alpha=%g, dt=%g" % (built + wanted)
-            )
-    _, _, _, grad, jac = _objective_full(u, fill_nodata(template), reference, config)
-    x = u.as_vector()
-    d = _implicit_direction(operator)((grad.as_vector(), jac))
-    return DisplacementField.from_vector(u.geometry, x + d), grad.max_norm()
 
 
 def _step_norm(x_new, x_old) -> float:

@@ -141,15 +141,16 @@ class ParzenBand:
 
     Pixels are sorted by their first bin, so a chunk of consecutive pixels
     touches only a few bins: entry k is pixel ``order[k]`` of
-    ``values[mask]``, with ``start[k]`` and column k of ``weights`` as
-    returned by :func:`_parzen_weights`.
+    ``values[mask]``.  Per chunk of MI_CHUNK entries, ``chunks`` holds
+    ``(lo, hi, first, block)``: the windows of entries lo:hi (see
+    :func:`_parzen_weights`) scattered into a dense, read-only
+    (pixels x bins) block over padded columns ``first:first + block.shape[1]``.
     """
 
     bins: int
     sigma: float
     order: np.ndarray
-    start: np.ndarray
-    weights: np.ndarray
+    chunks: tuple
 
     @classmethod
     def build(cls, image: ScalarImage, mask: np.ndarray, bins: int, sigma: float):
@@ -157,29 +158,19 @@ class ParzenBand:
         radius = int(np.ceil(5.0 * sigma))
         order = np.argsort(np.ceil(r - radius), kind="stable")
         r = r[order]
-        start = np.empty(r.size, dtype=np.int64)
-        weights = np.empty((2 * radius + 1, r.size))
-        for lo in range(0, r.size, MI_CHUNK):
-            hi = lo + MI_CHUNK
-            start[lo:hi], weights[:, lo:hi], _ = _parzen_weights(r[lo:hi], bins, sigma)
-        return cls(bins, sigma, order, start, weights)
-
-    def blocks(self, buffer: np.ndarray):
-        """Per chunk of MI_CHUNK pixels: ``(lo, hi, first, block)``, the
-        chunk's weights scattered into a dense (pixels x bins) block over
-        padded columns ``first:first + block.shape[1]``.  Blocks live in
-        ``buffer`` and are valid until the next one."""
-        taps = self.weights.shape[0]
+        taps = 2 * radius + 1
         offsets = np.arange(taps)[:, None]
-        for lo in range(0, self.start.size, MI_CHUNK):
-            start = self.start[lo : lo + MI_CHUNK]
+        chunks = []
+        for lo in range(0, r.size, MI_CHUNK):
+            start, weights, _ = _parzen_weights(r[lo : lo + MI_CHUNK], bins, sigma)
             rows = start.size
             first = int(start[0])
             cols = int(start[-1]) - first + taps
-            block = buffer[: rows * cols]
-            block.fill(0.0)
-            block[offsets + (cols * np.arange(rows) + start - first)] = self.weights[:, lo : lo + rows]
-            yield lo, lo + rows, first, block.reshape(rows, cols)
+            block = np.zeros((rows, cols))
+            block.ravel()[offsets + (cols * np.arange(rows) + start - first)] = weights
+            block.flags.writeable = False
+            chunks.append((lo, lo + rows, first, block))
+        return cls(bins, sigma, order, tuple(chunks))
 
 
 def _band_mi(t: np.ndarray, band: ParzenBand):
@@ -193,8 +184,8 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     marginals cancel because every window sums to 1.
     """
     bins, sigma = band.bins, band.sigma
-    taps = band.weights.shape[0]
-    radius = (taps - 1) // 2
+    radius = int(np.ceil(5.0 * sigma))
+    taps = 2 * radius + 1
     width = bins + 2 * radius
     inner = slice(radius, radius + bins)
     n = t.size
@@ -202,9 +193,8 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     t_start = np.empty(n, dtype=np.int64)
     t_dw = np.empty((taps, n))
     scratch = np.empty((MI_CHUNK, width))  # T per chunk, then G per chunk
-    buffer = np.empty(MI_CHUNK * width)
     joint = np.zeros((width, width))
-    for lo, hi, first, r_block in band.blocks(buffer):
+    for lo, hi, first, r_block in band.chunks:
         rows = hi - lo
         t_start[lo:hi], w, t_dw[:, lo:hi] = _parzen_weights(t[lo:hi], bins, sigma)
         t_rows = scratch[:rows]
@@ -222,7 +212,7 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     value = -float(np.sum(joint[pos] * inner_ratio[pos]))
 
     grad = np.empty(n)
-    for lo, hi, first, r_block in band.blocks(buffer):
+    for lo, hi, first, r_block in band.chunks:
         rows = hi - lo
         g = scratch[:rows]
         np.matmul(r_block, log_ratio[:, first : first + r_block.shape[1]].T, out=g)
@@ -299,8 +289,8 @@ def _ngf_parts(image: ScalarImage, eta: float):
     # gradients in intensity-per-pixel units, not per metre: eta then keeps
     # one meaning across pyramid levels (coarsening grows the spacing, and
     # per-metre gradients would sink below any fixed noise floor)
-    if eta <= 0.0:
-        raise ParameterError("eta must be positive")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ParameterError("eta must be finite and positive")
     gx = gradient_axis(image.values, 1, 1.0)
     gy = gradient_axis(image.values, 0, 1.0)
     scale = np.sqrt(gx * gx + gy * gy + eta * eta)

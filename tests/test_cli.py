@@ -80,7 +80,8 @@ def test_rasterize_malformed_points_exits_3(tmp_path):
 def test_rasterize_bad_cell_exits_2(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text(POINTS_CSV)
-    assert run("rasterize", "--points", pts, "--cell", "0", "--out", tmp_path / "x") == 2
+    for cell in ("0", "nan", "inf"):
+        assert run("rasterize", "--points", pts, "--cell", cell, "--out", tmp_path / "x") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,9 @@ def test_rasterize_grid_snaps_to_cell_multiples():
 
 
 def test_rasterize_rejects_bad_cell_size():
-    with pytest.raises(ParameterError):
-        rasterize_lidar(tiny_cloud(), cell_size=0.0)
+    for cell_size in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            rasterize_lidar(tiny_cloud(), cell_size=cell_size)
 
 
 # ---------------------------------------------------------------------------

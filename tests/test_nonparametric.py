@@ -19,7 +19,6 @@ from fusereg.nonparametric import (
     objective,
     register_level,
     register_multilevel,
-    semi_implicit_step,
 )
 from fusereg.similarity import evaluate
 
@@ -137,46 +136,6 @@ def test_objective_validates_inputs(texture64):
     small = GridGeometry(16, 16)
     with pytest.raises(GeometryError):
         objective(DisplacementField.zero(small), texture64, texture64, cfg)
-
-
-# ---------------------------------------------------------------------------
-# semi-implicit step
-
-
-def test_semi_implicit_step_fixed_point_at_alignment(texture64):
-    cfg = RegistrationConfig(measure="SSD", alpha=10.0, dt=1.0)
-    u0 = DisplacementField.zero(texture64.geometry)
-    u1, force = semi_implicit_step(u0, texture64, texture64, cfg)
-    assert force == 0.0
-    np.testing.assert_array_equal(u1.u_x, 0.0)
-    np.testing.assert_array_equal(u1.u_y, 0.0)
-
-
-def test_semi_implicit_step_accepts_prebuilt_operator(texture64):
-    from fusereg.curvature import SemiImplicitOperator
-
-    r = texture64.with_values(np.roll(texture64.values, 1, axis=1))
-    cfg = RegistrationConfig(measure="SSD", alpha=1.0, dt=0.5)
-    u0 = DisplacementField.zero(texture64.geometry)
-    op = SemiImplicitOperator(texture64.geometry, cfg.alpha, cfg.dt)
-    a, fa = semi_implicit_step(u0, texture64, r, cfg)
-    b, fb = semi_implicit_step(u0, texture64, r, cfg, operator=op)
-    assert fa == fb
-    np.testing.assert_array_equal(a.u_x, b.u_x)
-    np.testing.assert_array_equal(a.u_y, b.u_y)
-
-
-def test_semi_implicit_step_rejects_mismatched_operator(texture64):
-    r = texture64.with_values(np.roll(texture64.values, 1, axis=1))
-    cfg = RegistrationConfig(measure="SSD", alpha=1.0, dt=1.0)
-    u0 = DisplacementField.zero(texture64.geometry)
-    for alpha, dt in ((50.0, 0.25), (1.0, 0.5), (2.0, 1.0)):
-        op = SemiImplicitOperator(texture64.geometry, alpha, dt)
-        with pytest.raises(ParameterError, match="alpha=%g, dt=%g; the step" % (alpha, dt)):
-            semi_implicit_step(u0, texture64, r, cfg, operator=op)
-    op = SemiImplicitOperator(GridGeometry(32, 32), cfg.alpha, cfg.dt)
-    with pytest.raises(ParameterError, match=r"grid \(32, 32\)"):
-        semi_implicit_step(u0, texture64, r, cfg, operator=op)
 
 
 # ---------------------------------------------------------------------------

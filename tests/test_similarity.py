@@ -293,9 +293,12 @@ def test_mi_matches_tap_by_tap_oracle(masked_pair, bins, sigma):
 def test_level_reference_matches_plain_images(masked_pair):
     t, r = masked_pair
     gap_free = t.with_values(t.values, nodata=None)
+    shifted = gap_free.with_values(np.roll(gap_free.values, 3, axis=1))
     for measure in MEASURES:
         level = level_reference(r, measure, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
-        for tpl in (t, gap_free):
+        # one level reference serves evaluations in a row; none of them may
+        # change what the next one reads
+        for tpl in (t, gap_free, shifted, gap_free):
             want = evaluate(measure, tpl, r, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
             got = evaluate(measure, tpl, level, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
             assert got.value == want.value
@@ -421,6 +424,13 @@ def test_ngf_rejects_bad_eta(geom16, rng):
         ngf(img, img, 0.0)
     with pytest.raises(ParameterError):
         ngf_field(img, -0.5)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            ngf(img, img, eta)
+        with pytest.raises(ParameterError):
+            ngf_field(img, eta)
+        with pytest.raises(ParameterError):
+            level_reference(img, "NGF", eta=eta)
 
 
 def test_ngf_field_is_subunit(texture64):
