@@ -192,7 +192,7 @@ def register_affine(
             px = a_px[0, 0] * xs + a_px[0, 1] * ys + t_px[0]
             py = a_px[1, 0] * xs + a_px[1, 1] * ys + t_px[1]
             u = DisplacementField(geometry, xs - px, ys - py)
-            warped, dtdx, dtdy, _ = warp_with_jacobian(t_img, u, edge_clamp=True)
+            warped, dtdx, dtdy = warp_with_jacobian(t_img, u)
             res = _distance(warped, r_level, cfg)
             wx = res.d_warped * dtdx
             wy = res.d_warped * dtdy
@@ -229,6 +229,11 @@ def register_affine(
         level_trace.evaluations = result.n_evals
         trace.levels.append(level_trace)
         a, t = _hat_to_pixel(result.x, geometry)
+        if level_trace.iterations == 0:
+            log.warning(
+                "affine level %d (%dx%d, %s) stopped at iteration 0: the transform did not move",
+                level, geometry.width, geometry.height, measure,
+            )
         log.info(
             "affine level %d (%dx%d, %s): %d iterations, D=%.6e",
             level,

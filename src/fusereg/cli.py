@@ -3,8 +3,9 @@
 Subcommands cover the airborne fusion workflow: ``rasterize`` grids LiDAR
 returns, ``register`` aligns two rasters (non-parametric or affine),
 ``report`` renders comparison artifacts, ``mosaic`` composes georeferenced
-tiles with optional per-tile re-registration.  Every command writes a JSON
-run manifest beside its primary output; all outputs are deterministic
+tiles with optional per-tile re-registration.  ``main`` writes one JSON run
+manifest beside the output of every command that succeeds (each ``cmd_*``
+returns its inputs, outputs and config); all outputs are deterministic
 functions of the inputs and flags.
 
 Exit codes: 0 success, 2 usage, 3 file/format problems, 4 numerical
@@ -84,29 +85,9 @@ def _resolve_threads(value):
     return value
 
 
-def _ensure_parent(prefix: str):
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(path, command, inputs, outputs, config, seed, threads):
-    _write_json(
-        path,
-        {
-            "command": command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "config": config,
-            "seed": seed,
-            "threads": threads,
-        },
-    )
 
 
 def _registration_flags(parser):
@@ -145,27 +126,17 @@ def _build_config(args, alpha_override=None) -> RegistrationConfig:
 # subcommands
 
 
-def cmd_rasterize(args) -> int:
-    _ensure_parent(args.out)
+def cmd_rasterize(args):
     cloud = geo.LidarPointCloud.from_csv(args.points)
     image = geo.rasterize_lidar(cloud, cell_size=args.cell)
     raster_io.write_image(args.out, image)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "rasterize",
-        {"points": args.points},
-        {"raster": args.out},
-        {"cell": args.cell},
-        args.seed,
-        args.threads_resolved,
-    )
     log.info(
         "rasterized %d points onto %dx%d cells",
         len(cloud),
         image.geometry.width,
         image.geometry.height,
     )
-    return 0
+    return {"points": args.points}, {"raster": args.out}, {"cell": args.cell}
 
 
 def _load_pair(ref_path, tpl_path):
@@ -176,8 +147,7 @@ def _load_pair(ref_path, tpl_path):
     return reference, template
 
 
-def cmd_register(args) -> int:
-    _ensure_parent(args.out)
+def cmd_register(args):
     cfg = _build_config(args)
     reference, template = _load_pair(args.ref, args.tpl)
     outputs = {
@@ -210,15 +180,6 @@ def cmd_register(args) -> int:
         "mad_unregistered": mean_abs_difference(template, reference, shared),
     }
     _write_json(outputs["metrics"], metrics)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "register",
-        {"ref": args.ref, "tpl": args.tpl},
-        outputs,
-        dict(asdict(cfg), method=args.method),
-        args.seed,
-        args.threads_resolved,
-    )
     log.info(
         "registered %s onto %s: %d iterations, MAD %.4g -> %.4g",
         args.tpl,
@@ -227,15 +188,11 @@ def cmd_register(args) -> int:
         metrics["mad_unregistered"],
         metrics["mad_registered"],
     )
-    return 0
+    return {"ref": args.ref, "tpl": args.tpl}, outputs, dict(asdict(cfg), method=args.method)
 
 
-def cmd_report(args) -> int:
-    _ensure_parent(args.out)
-    image_a = normalize_intensity(raster_io.read_image(args.a))
-    image_b = normalize_intensity(raster_io.read_image(args.b))
-    if image_b.geometry != image_a.geometry:
-        image_b = resample_to_geometry(image_b, image_a.geometry)
+def cmd_report(args):
+    image_a, image_b = _load_pair(args.a, args.b)
     outputs = {}
     if args.mode == "diff":
         diff = difference_map(image_a, image_b)
@@ -253,16 +210,7 @@ def cmd_report(args) -> int:
         outputs["pgm"] = args.out + ".checkerboard.pgm"
         raster_io.write_image(outputs["raster"], board)
         raster_io.write_pgm(outputs["pgm"], board.values)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "report",
-        {"a": args.a, "b": args.b},
-        outputs,
-        {"mode": args.mode, "tiles": args.tiles},
-        args.seed,
-        args.threads_resolved,
-    )
-    return 0
+    return {"a": args.a, "b": args.b}, outputs, {"mode": args.mode, "tiles": args.tiles}
 
 
 def _parse_tile_spec(spec: str):
@@ -275,8 +223,8 @@ def _parse_tile_spec(spec: str):
     return spec, None
 
 
-def cmd_mosaic(args) -> int:
-    _ensure_parent(args.out)
+def cmd_mosaic(args):
+    registration = asdict(_build_config(args))  # rejects bad flags before any output
     specs = [_parse_tile_spec(s) for s in args.tile]
     needs_ref = any(alpha is not None for _, alpha in specs)
     if needs_ref and args.ref is None:
@@ -310,19 +258,10 @@ def cmd_mosaic(args) -> int:
         "tiles": [
             {"path": p, "alpha": a} for p, a in specs
         ],
-        "registration": asdict(_build_config(args)),
+        "registration": registration,
     }
-    _write_manifest(
-        args.out + ".manifest.json",
-        "mosaic",
-        {"tiles": [p for p, _ in specs], "ref": args.ref},
-        outputs,
-        cfg_entry,
-        args.seed,
-        args.threads_resolved,
-    )
     log.info("mosaic of %d tiles, %d seam interfaces", len(tiles), len(seams))
-    return 0
+    return {"tiles": [p for p, _ in specs], "ref": args.ref}, outputs, cfg_entry
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +334,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        args.threads_resolved = _resolve_threads(args.threads)
-        return args.func(args)
+        threads = _resolve_threads(args.threads)
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        inputs, outputs, config = args.func(args)
+        manifest = dict(command=args.command, inputs=inputs, outputs=outputs, config=config)
+        manifest.update(seed=args.seed, threads=threads)
+        _write_json(args.out + ".manifest.json", manifest)
+        return 0
     except ParameterError as exc:
         print("fusereg: %s" % exc, file=sys.stderr)
         return USAGE_EXIT

@@ -91,17 +91,19 @@ class LidarPointCloud:
         if not os.path.exists(path):
             raise FormatError("missing point file %s" % path)
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines:
+            lines = [ln.strip() for ln in fh]
+        start = next((i for i, line in enumerate(lines) if line), None)
+        if start is None:
             raise FormatError("%s: empty point file" % path)
-        start = 0
         try:
-            [float(tok) for tok in lines[0].split(",")]
+            [float(tok) for tok in lines[start].split(",")]
         except ValueError:
-            start = 1
+            start += 1
         rows = []
         ncols = None
         for lineno, line in enumerate(lines[start:], start + 1):
+            if not line:
+                continue
             toks = line.split(",")
             if ncols is None:
                 ncols = len(toks)

@@ -40,8 +40,10 @@ class GridGeometry:
             raise GeometryError(
                 "grid must be at least 2x2, got %dx%d" % (self.width, self.height)
             )
-        if not (self.spacing_x > 0.0 and self.spacing_y > 0.0):
-            raise GeometryError("grid spacing must be positive")
+        if not (0.0 < self.spacing_x < math.inf and 0.0 < self.spacing_y < math.inf):
+            raise GeometryError("grid spacing must be positive and finite")
+        if not (math.isfinite(self.origin_easting) and math.isfinite(self.origin_northing)):
+            raise GeometryError("grid origin must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -293,41 +295,32 @@ def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> Sc
     return ScalarImage(u.geometry, v, bad if bad.any() else None)
 
 
-def warp_with_jacobian(image: ScalarImage, u: DisplacementField, edge_clamp: bool = False):
-    """Warp plus the interpolant's spatial derivative at each sample point.
+def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
+    """Edge-clamped warp plus the interpolant's spatial derivative.
 
-    Returns ``(warped, dvdx, dvdy, invalid)`` with derivatives in pixel
-    units, zeroed on invalid pixels.  Bilinear only; used by the
-    registration objective, whose force term needs exactly this derivative.
-
-    With ``edge_clamp`` the sample points are clamped to the grid hull
-    instead of invalidated, which keeps the result (and hence any
-    objective built on it) continuous in u; the image must then carry no
+    Returns ``(warped, dvdx, dvdy)`` with derivatives in pixel units.
+    Bilinear only; used by the registration objective, whose force term
+    needs exactly this derivative.  Sample points are clamped to the grid
+    hull instead of invalidated, which keeps the result (and hence any
+    objective built on it) continuous in u; a clamped coordinate no longer
+    responds to u, so its derivative is zero.  The image must carry no
     nodata.
     """
     _require_same_shape(image.geometry, u.geometry, "warp")
-    if edge_clamp and image.nodata is not None:
+    if image.nodata is not None:
         raise ParameterError("edge-clamped warp needs a gap-free image")
     xs, ys = _pixel_grid(u.geometry)
     px = xs - u.u_x
     py = ys - u.u_y
-    v, bad, (fx, fy, v00, v10, v01, v11) = _bilinear_arrays(
-        image.values, image.nodata, px, py, edge_clamp
+    v, _, (fx, fy, v00, v10, v01, v11) = _bilinear_arrays(
+        image.values, None, px, py, edge_clamp=True
     )
+    h, w = image.geometry.shape
     dvdx = (1.0 - fy) * (v10 - v00) + fy * (v11 - v01)
     dvdy = (1.0 - fx) * (v01 - v00) + fx * (v11 - v10)
-    if edge_clamp:
-        # a clamped coordinate no longer responds to u, so its derivative
-        # vanishes
-        h, w = image.geometry.shape
-        dvdx = np.where((px < 0.0) | (px > w - 1.0), 0.0, dvdx)
-        dvdy = np.where((py < 0.0) | (py > h - 1.0), 0.0, dvdy)
-    elif bad.any():
-        v = np.where(bad, 0.0, v)
-        dvdx = np.where(bad, 0.0, dvdx)
-        dvdy = np.where(bad, 0.0, dvdy)
-        return ScalarImage(u.geometry, v, bad), dvdx, dvdy, bad
-    return ScalarImage(u.geometry, v, None), dvdx, dvdy, bad
+    dvdx = np.where((px < 0.0) | (px > w - 1.0), 0.0, dvdx)
+    dvdy = np.where((py < 0.0) | (py > h - 1.0), 0.0, dvdy)
+    return ScalarImage(u.geometry, v, None), dvdx, dvdy
 
 
 # ---------------------------------------------------------------------------

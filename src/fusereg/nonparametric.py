@@ -184,7 +184,7 @@ def _objective_full(u, template, reference, config):
     with edge clamping so the objective stays continuous in u.  The
     distance is evaluated over the reference's static valid mask.
     """
-    warped, dtdx, dtdy, _ = warp_with_jacobian(template, u, edge_clamp=True)
+    warped, dtdx, dtdy = warp_with_jacobian(template, u)
     res = _distance(warped, reference, config)
     s_val = curvature_energy(u)
     j = res.value + config.alpha * s_val

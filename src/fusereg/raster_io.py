@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, GeometryError
 from .grid import DisplacementField, GridGeometry, ScalarImage
 
 DEFAULT_NODATA = -9999.0
@@ -132,14 +132,17 @@ def read_raster(path):
     if not os.path.exists(path):
         raise FormatError("missing raster payload %s" % path)
     fields = _parse_header(path)
-    geometry = GridGeometry(
-        width=fields["width"],
-        height=fields["height"],
-        spacing_x=fields.get("spacing_x", 1.0),
-        spacing_y=fields.get("spacing_y", 1.0),
-        origin_easting=fields.get("origin_easting", 0.0),
-        origin_northing=fields.get("origin_northing", 0.0),
-    )
+    try:
+        geometry = GridGeometry(
+            width=fields["width"],
+            height=fields["height"],
+            spacing_x=fields.get("spacing_x", 1.0),
+            spacing_y=fields.get("spacing_y", 1.0),
+            origin_easting=fields.get("origin_easting", 0.0),
+            origin_northing=fields.get("origin_northing", 0.0),
+        )
+    except GeometryError as exc:
+        raise FormatError("%s: %s" % (_header_path(path), exc)) from exc
     nbands = fields["bands"]
     expected = nbands * geometry.width * geometry.height
     raw = np.fromfile(path, dtype="<f4")

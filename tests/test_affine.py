@@ -1,5 +1,7 @@
 """Affine baseline: parameter algebra and multilevel recovery."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fusereg.affine import (
     register_affine,
 )
 from fusereg.errors import DegenerateImageError, ParameterError
-from fusereg.evaluation import synthetic_texture
+from fusereg.evaluation import SyntheticDeformation, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
 from fusereg.nonparametric import RegistrationConfig
 
@@ -164,3 +166,24 @@ def test_register_affine_validates_input(texture64):
     flat = ScalarImage(texture64.geometry, np.full(texture64.geometry.shape, 0.5))
     with pytest.raises(DegenerateImageError):
         register_affine(flat, texture64, "NCC", cfg)
+
+
+def test_level_stopped_at_iteration_zero_warns(caplog):
+    g = GridGeometry(72, 64)
+    ref = synthetic_texture(g, seed=5, smoothness=2.0)
+    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=2.5, sigma=12.0)
+    tem = warp(ref, bump.realized(g))
+    cfg = RegistrationConfig(measure="NGF", max_levels=2)
+    with caplog.at_level(logging.WARNING, logger="fusereg.affine"):
+        _, trace = register_affine(tem, ref, "NGF", cfg)
+    assert [lt.iterations for lt in trace.levels] == [0, 0]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 2
+    assert "affine level 1 (36x32, NGF) stopped at iteration 0" in warnings[0]
+    caplog.clear()
+    tem, ref, _ = shifted_pair(n=48, t=(1.0, 0.5))
+    cfg = RegistrationConfig(measure="SSD", max_levels=1, max_iters_per_level=5)
+    with caplog.at_level(logging.WARNING, logger="fusereg.affine"):
+        _, trace = register_affine(tem, ref, "SSD", cfg)
+    assert trace.levels[0].iterations > 0
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

@@ -285,6 +285,12 @@ def test_mosaic_alpha_without_ref_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_mosaic_bad_flag_exits_2_before_writing(tmp_path):
+    pa, pb = make_tiles(tmp_path)
+    assert run("mosaic", "--tile", pa, "--tile", pb, "--alpha", "-5", "--out", tmp_path / "m") == 2
+    assert not list(tmp_path.glob("m.*"))
+
+
 def test_mosaic_misaligned_tiles_exits_4(tmp_path):
     g_a = GridGeometry(8, 8, 1.0, 1.0, 0.0, 0.0)
     g_b = GridGeometry(8, 8, 1.0, 1.0, 4.5, 0.0)
@@ -345,3 +351,46 @@ def test_seed_recorded_in_manifest(tmp_path):
     assert run("--seed", "42", "rasterize", "--points", pts, "--out", out) == 0
     manifest = json.loads((tmp_path / "s.raster.manifest.json").read_text())
     assert manifest["seed"] == 42
+
+
+@pytest.mark.parametrize("line", ["origin_easting = nan", "spacing_x = inf", "width = 1"])
+def test_report_bad_header_exits_3(tmp_path, line):
+    ref, tpl = write_pair(tmp_path)
+    hdr = tmp_path / "ref.raster.hdr"
+    hdr.write_text(hdr.read_text() + line + "\n")  # a repeated key overrides
+    assert run("report", "--mode", "diff", "--a", ref, "--b", tpl, "--out", tmp_path / "r") == 3
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+
+@pytest.mark.parametrize("command", ["rasterize", "register", "report", "mosaic"])
+def test_manifest_has_the_six_keys(tmp_path, command):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(POINTS_CSV)
+    ref, tpl = write_pair(tmp_path)
+    pa, pb = make_tiles(tmp_path)
+    argv = {
+        "rasterize": ["--points", pts],
+        "register": ["--ref", ref, "--tpl", tpl, "--levels", "1", "--max-iters", "2"],
+        "report": ["--mode", "diff", "--a", ref, "--b", tpl],
+        "mosaic": ["--tile", pa, "--tile", pb],
+    }[command]
+    assert run(command, *argv, "--out", tmp_path / "runs" / command) == 0
+    manifest = json.loads((tmp_path / "runs" / (command + ".manifest.json")).read_text())
+    assert set(manifest) == {"command", "inputs", "outputs", "config", "seed", "threads"}
+    assert manifest["command"] == command
+
+
+@pytest.mark.parametrize("command", ["rasterize", "register", "report", "mosaic"])
+def test_failing_command_writes_no_manifest(tmp_path, command):
+    missing = tmp_path / "absent.raster"
+    argv = {
+        "rasterize": ["--points", tmp_path / "absent.csv"],
+        "register": ["--ref", missing, "--tpl", missing],
+        "report": ["--mode", "diff", "--a", missing, "--b", missing],
+        "mosaic": ["--tile", missing],
+    }[command]
+    assert run(command, *argv, "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x.manifest.json").exists()

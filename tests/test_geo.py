@@ -116,6 +116,9 @@ def test_from_csv_errors(tmp_path):
     p.write_text("1,2,3,4,1\n1,2,3,4\n")  # ragged
     with pytest.raises(FormatError):
         LidarPointCloud.from_csv(p)
+    p.write_text("x,y,z,i,r\n\n\n1,2,3,4,1\n\n1,2,3,4\n")  # blank lines still count
+    with pytest.raises(FormatError, match=":6: ragged row"):
+        LidarPointCloud.from_csv(p)
     p.write_text("1,2,3,4,1\n1,2,three,4,1\n")  # bad number mid-file
     with pytest.raises(FormatError):
         LidarPointCloud.from_csv(p)

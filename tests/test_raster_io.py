@@ -125,6 +125,18 @@ def test_read_raster_header_errors(tmp_path):
     put_header("width = 2\nheight = 2\nbands = 1\nwavelengths = 1.0, 2.0\n")
     with pytest.raises(FormatError):
         read_raster(p)
+    # a geometry the grid rejects is a format problem of the sidecar
+    for line in (
+        "width = 1",
+        "spacing_x = -1",
+        "spacing_x = inf",
+        "spacing_y = nan",
+        "origin_easting = nan",
+        "origin_northing = -inf",
+    ):
+        put_header("width = 2\nheight = 2\nbands = 1\n%s\n" % line)
+        with pytest.raises(FormatError, match=r"bad\.raster\.hdr: "):
+            read_raster(p)
 
 
 def test_read_raster_payload_size_mismatch(tmp_path):
