@@ -5,7 +5,8 @@ returns, ``register`` aligns two rasters (non-parametric or affine),
 ``report`` renders comparison artifacts, ``mosaic`` composes georeferenced
 tiles with optional per-tile re-registration.  ``main`` writes one JSON run
 manifest beside the output of every command that succeeds (each ``cmd_*``
-returns its inputs, outputs and config); all outputs are deterministic
+returns its inputs, outputs and config) and removes the directories it
+made for ``--out`` when the command fails; all outputs are deterministic
 functions of the inputs and flags.
 
 Exit codes: 0 success, 2 usage, 3 file/format problems, 4 numerical
@@ -15,6 +16,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -326,6 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _missing_dirs(path):
+    """``path`` and its ancestors that do not exist yet, deepest first."""
+    missing = []
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -333,6 +344,7 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    created = _missing_dirs(os.path.dirname(os.path.abspath(args.out)))
     try:
         threads = _resolve_threads(args.threads)
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -343,16 +355,20 @@ def main(argv=None) -> int:
         return 0
     except ParameterError as exc:
         print("fusereg: %s" % exc, file=sys.stderr)
-        return USAGE_EXIT
+        status = USAGE_EXIT
     except (FormatError, OSError) as exc:
         print("fusereg: %s" % exc, file=sys.stderr)
-        return IO_EXIT
+        status = IO_EXIT
     except DivergenceError as exc:
         print("fusereg: registration diverged: %s" % exc, file=sys.stderr)
-        return NUMERIC_EXIT
+        status = NUMERIC_EXIT
     except FuseRegError as exc:
         print("fusereg: %s" % exc, file=sys.stderr)
-        return NUMERIC_EXIT
+        status = NUMERIC_EXIT
+    for path in created:  # deepest first; rmdir removes only empty directories
+        with contextlib.suppress(OSError):
+            os.rmdir(path)
+    return status
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ know where an image came from.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,16 +58,18 @@ class LidarPointCloud:
                 raise FormatError("point record arrays differ in length")
             if not np.isfinite(arr).all():
                 raise FormatError("%s contains non-finite entries" % name)
-        self.return_number = np.asarray(self.return_number)
-        if self.return_number.size != n:
+        returns = np.asarray(self.return_number)
+        if returns.size != n:
             raise FormatError("point record arrays differ in length")
-        if self.return_number.size and (
-            not np.issubdtype(self.return_number.dtype, np.number)
-            or not np.isfinite(self.return_number).all()
-            or (np.asarray(self.return_number, dtype=np.float64) < 1).any()
+        if returns.size and not (
+            returns.dtype.kind in "iuf"
+            and np.isfinite(returns).all()
+            and (returns >= 1).all()
+            and (returns < 2**63).all()
+            and (returns % 1 == 0).all()
         ):
-            raise FormatError("return numbers must be finite and >= 1")
-        self.return_number = np.asarray(self.return_number, dtype=np.int64)
+            raise FormatError("return numbers must be integers from 1 to 2**63 - 1")
+        self.return_number = np.asarray(returns, dtype=np.int64)
         if (self.intensity < 0).any():
             raise FormatError("intensities must be non-negative")
         if self.agc is not None:
@@ -85,42 +88,18 @@ class LidarPointCloud:
     def from_csv(cls, path) -> "LidarPointCloud":
         """Read comma-separated x,y,z,intensity,return[,agc] records.
 
-        A single non-numeric header row is tolerated.
+        The file must be ASCII; blank lines and one non-numeric header row
+        are tolerated.  A file numpy's parser refuses is scanned row by row,
+        which accepts whatever ``float`` does or names the line at fault.
         """
         path = str(path)
         if not os.path.exists(path):
             raise FormatError("missing point file %s" % path)
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh]
-        start = next((i for i, line in enumerate(lines) if line), None)
-        if start is None:
-            raise FormatError("%s: empty point file" % path)
         try:
-            [float(tok) for tok in lines[start].split(",")]
-        except ValueError:
-            start += 1
-        rows = []
-        ncols = None
-        for lineno, line in enumerate(lines[start:], start + 1):
-            if not line:
-                continue
-            toks = line.split(",")
-            if ncols is None:
-                ncols = len(toks)
-                if ncols not in (5, 6):
-                    raise FormatError(
-                        "%s: expected 5 or 6 columns, found %d" % (path, ncols)
-                    )
-            elif len(toks) != ncols:
-                raise FormatError("%s:%d: ragged row" % (path, lineno))
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError as exc:
-                raise FormatError("%s:%d: bad number" % (path, lineno)) from exc
-        data = np.asarray(rows, dtype=np.float64)
-        if data.size == 0:
-            raise FormatError("%s: no data rows" % path)
-        agc = data[:, 5] if ncols == 6 else None
+            data = _load_points(path)
+        except ValueError:  # UnicodeDecodeError included
+            data = _scan_points(path)
+        agc = data[:, 5] if data.shape[1] == 6 else None
         return cls(
             easting=data[:, 0],
             northing=data[:, 1],
@@ -129,6 +108,70 @@ class LidarPointCloud:
             return_number=data[:, 4],
             agc=agc,
         )
+
+
+def _lines_before_data(lines, path) -> int:
+    """Count the leading blank lines plus the header, if any: the first
+    non-blank line is a header unless all of its fields parse as floats."""
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if line:
+            try:
+                [float(tok) for tok in line.split(",")]
+            except ValueError:
+                return i + 1
+            return i
+    raise FormatError("%s: empty point file" % path)
+
+
+def _load_points(path: str) -> np.ndarray:
+    """numpy's C parser; raises ValueError for any file that is not a
+    non-empty 5- or 6-column table or holds the ASCII separators
+    0x1c-0x1f, which numpy reads as blanks around a number and ``float``
+    does not.
+    """
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if any(sep in chunk for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                raise ValueError("ASCII separator byte")
+    with open(path, "r", encoding="ascii") as fh:
+        skip = _lines_before_data(fh, path)
+    with warnings.catch_warnings():  # a header-only file is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None,
+                          encoding="ascii", dtype=np.float64)
+    if data.size == 0 or data.shape[1] not in (5, 6):
+        raise ValueError("not a point table")
+    return data
+
+
+def _scan_points(path: str) -> np.ndarray:
+    """Row-by-row parse that names the line at fault when it rejects a file."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = [ln.strip() for ln in fh]
+    for lineno, line in enumerate(lines, 1):
+        if not line.isascii():
+            raise FormatError("%s:%d: non-ASCII byte" % (path, lineno))
+    start = _lines_before_data(lines, path)
+    rows = []
+    ncols = None
+    for lineno, line in enumerate(lines[start:], start + 1):
+        if not line:
+            continue
+        toks = line.split(",")
+        if ncols is None:
+            ncols = len(toks)
+            if ncols not in (5, 6):
+                raise FormatError("%s: expected 5 or 6 columns, found %d" % (path, ncols))
+        elif len(toks) != ncols:
+            raise FormatError("%s:%d: ragged row" % (path, lineno))
+        try:
+            rows.append([float(tok) for tok in toks])
+        except ValueError as exc:
+            raise FormatError("%s:%d: bad number" % (path, lineno)) from exc
+    if not rows:
+        raise FormatError("%s: no data rows" % path)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def rasterize_lidar(

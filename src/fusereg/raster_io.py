@@ -88,8 +88,10 @@ def _parse_header(path: str) -> dict:
     if not os.path.exists(hpath):
         raise FormatError("missing raster sidecar %s" % hpath)
     fields = {}
-    with open(hpath, "r", encoding="ascii") as fh:
+    with open(hpath, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise FormatError("%s:%d: non-ASCII byte" % (hpath, lineno))
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -8,6 +8,7 @@ import pytest
 
 from fusereg.affine import AffineParams, affine_to_displacement
 from fusereg.cli import main
+from fusereg.errors import FormatError
 from fusereg.evaluation import synthetic_texture
 from fusereg.grid import GridGeometry, ScalarImage, warp
 from fusereg.nonparametric import RegistrationConfig
@@ -75,6 +76,16 @@ def test_rasterize_malformed_points_exits_3(tmp_path):
     pts = tmp_path / "bad.csv"
     pts.write_text("1,2,3\n")
     assert run("rasterize", "--points", pts, "--out", tmp_path / "x") == 3
+
+
+@pytest.mark.parametrize(
+    "content, line", [(b"1,2,3,4,1\n1,2,3,4,\xe9\n", 2), (b"caf\xe9,y,z,i,r\n1,2,3,4,1\n", 1)]
+)
+def test_rasterize_non_ascii_points_exits_3(tmp_path, capsys, content, line):
+    pts = tmp_path / "latin.csv"
+    pts.write_bytes(content)
+    assert run("rasterize", "--points", pts, "--out", tmp_path / "x") == 3
+    assert "%s:%d: non-ASCII byte" % (pts, line) in capsys.readouterr().err
 
 
 def test_rasterize_bad_cell_exits_2(tmp_path):
@@ -361,6 +372,14 @@ def test_report_bad_header_exits_3(tmp_path, line):
     assert run("report", "--mode", "diff", "--a", ref, "--b", tpl, "--out", tmp_path / "r") == 3
 
 
+def test_report_non_ascii_header_exits_3(tmp_path, capsys):
+    ref, tpl = write_pair(tmp_path)
+    hdr = tmp_path / "ref.raster.hdr"
+    hdr.write_bytes(hdr.read_bytes() + b"# caf\xe9\n")
+    assert run("report", "--mode", "diff", "--a", ref, "--b", tpl, "--out", tmp_path / "r") == 3
+    assert "ref.raster.hdr:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -394,3 +413,42 @@ def test_failing_command_writes_no_manifest(tmp_path, command):
     }[command]
     assert run(command, *argv, "--out", tmp_path / "x") == 3
     assert not (tmp_path / "x.manifest.json").exists()
+
+
+def failing_argv(tmp_path, code):
+    """Arguments of a command that exits with ``code`` before writing anything."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text(POINTS_CSV)
+    if code == 2:
+        return ["rasterize", "--points", pts, "--cell", "nan"]
+    if code == 3:
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(POINTS_CSV.encode() + b"\xe9\n")
+        return ["rasterize", "--points", latin]
+    g = GridGeometry(32, 32)
+    write_image(tmp_path / "flat.raster", ScalarImage(g, np.full(g.shape, 3.0)))
+    write_image(tmp_path / "tex.raster", synthetic_texture(g, seed=1))
+    return ["register", "--ref", tmp_path / "tex.raster", "--tpl", tmp_path / "flat.raster"]
+
+
+@pytest.mark.parametrize("code", [2, 3, 4])
+def test_failing_command_removes_the_directories_it_made(tmp_path, code):
+    argv = failing_argv(tmp_path, code)
+    before = sorted(tmp_path.iterdir())
+    (tmp_path / "kept").mkdir()
+    assert run(*argv, "--out", tmp_path / "new" / "deeper" / "x") == code
+    assert run(*argv, "--out", tmp_path / "kept" / "new" / "x") == code
+    assert sorted(tmp_path.iterdir()) == sorted(before + [tmp_path / "kept"])
+    assert not any((tmp_path / "kept").iterdir())
+
+
+def test_failing_command_keeps_a_directory_that_holds_files(tmp_path, monkeypatch):
+    def half_done(args):
+        with open(args.out + ".partial", "w", encoding="ascii") as fh:
+            fh.write("x\n")
+        raise FormatError("failed after writing")
+
+    monkeypatch.setattr("fusereg.cli.cmd_rasterize", half_done)
+    out = tmp_path / "new" / "deeper" / "x"
+    assert run("rasterize", "--points", tmp_path / "any.csv", "--out", out) == 3
+    assert sorted(p.name for p in (tmp_path / "new" / "deeper").iterdir()) == ["x.partial"]

@@ -139,6 +139,14 @@ def test_read_raster_header_errors(tmp_path):
             read_raster(p)
 
 
+def test_read_raster_rejects_non_ascii_header(tmp_path):
+    p = tmp_path / "latin.raster"
+    p.write_bytes(np.zeros(4, dtype="<f4").tobytes())
+    (tmp_path / "latin.raster.hdr").write_bytes(b"width = 2\nheight = 2\nbands = 1\n# caf\xe9\n")
+    with pytest.raises(FormatError, match=r"latin\.raster\.hdr:4: non-ASCII byte"):
+        read_raster(p)
+
+
 def test_read_raster_payload_size_mismatch(tmp_path):
     p = tmp_path / "short.raster"
     (tmp_path / "short.raster.hdr").write_text("width = 4\nheight = 4\nbands = 1\n")
