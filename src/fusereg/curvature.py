@@ -7,9 +7,11 @@ semi-definite operator whose kernel contains every affine field, so rigid
 and affine motions pass through the regularizer for free.
 
 Its reflecting-boundary counterpart is diagonal in the 2-D DCT, which
-makes :func:`neumann_solve` a fast curvature preconditioner for the
-iterative solvers; the semi-implicit direction needs the exact inverse and
-factorizes :class:`SemiImplicitOperator`, once per pyramid level.
+makes :func:`neumann_solve` the one curvature inverse of every solver: the
+semi-implicit direction, the l-BFGS and trust-region seed and the
+Gauss-Newton preconditioner.  No solver factorizes anything;
+:class:`SemiImplicitOperator` is the exact sparse operator, kept as the
+reference the DCT solve approximates near the border.
 
 Everything here works in pixel units: the physical grid spacing only
 rescales alpha, and keeping the operator dimensionless makes parameter
@@ -87,7 +89,9 @@ def laplacian_matrix(geometry: GridGeometry) -> sp.csr_matrix:
 
 
 class SemiImplicitOperator:
-    """The implicit-step operator (I + dt * alpha * B) with a cached solver.
+    """The exact implicit-step operator (I + dt * alpha * B) with a cached
+    sparse LU; no solver uses it (they take :func:`neumann_solve`), it is
+    the dropped-boundary reference.
 
     B = L^T L is assembled sparse once per grid; the operator is symmetric
     positive definite (eigenvalues >= 1), so its LU factorization needs no

@@ -159,6 +159,8 @@ def endpoint_error(
     err = np.sqrt((u_est.u_x - u_true.u_x) ** 2 + (u_est.u_y - u_true.u_y) ** 2)
     if margin is None:
         margin = int(np.ceil(u_true.max_norm())) + 1
+    elif isinstance(margin, bool) or not isinstance(margin, (int, np.integer)) or margin < 0:
+        raise ParameterError("margin must be an integer >= 0")
     h, w = err.shape
     if 2 * margin >= min(h, w):
         raise ParameterError("margin leaves no interior pixels")

@@ -91,6 +91,8 @@ class LidarPointCloud:
         The file must be ASCII; blank lines and one non-numeric header row
         are tolerated.  A file numpy's parser refuses is scanned row by row,
         which accepts whatever ``float`` does or names the line at fault.
+        A value the point cloud refuses is reported with the line of the
+        first row that holds one.
         """
         path = str(path)
         if not os.path.exists(path):
@@ -99,15 +101,26 @@ class LidarPointCloud:
             data = _load_points(path)
         except ValueError:  # UnicodeDecodeError included
             data = _scan_points(path)
-        agc = data[:, 5] if data.shape[1] == 6 else None
-        return cls(
-            easting=data[:, 0],
-            northing=data[:, 1],
-            elevation=data[:, 2],
-            intensity=data[:, 3],
-            return_number=data[:, 4],
-            agc=agc,
-        )
+
+        def build(rows):
+            agc = rows[:, 5] if rows.shape[1] == 6 else None
+            return cls(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4], agc)
+
+        try:
+            return build(data)
+        except FormatError as exc:
+            err = exc
+        # a prefix is refused once it holds a bad row: bisect for the first,
+        # keeping the refusal of the shortest refused prefix
+        lo, hi = 0, len(data)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                build(data[:mid])
+                lo = mid
+            except FormatError as exc:
+                hi, err = mid, exc
+        raise FormatError("%s:%d: %s" % (path, _data_lines(path)[hi - 1][0], err)) from None
 
 
 def _lines_before_data(lines, path) -> int:
@@ -145,19 +158,23 @@ def _load_points(path: str) -> np.ndarray:
     return data
 
 
-def _scan_points(path: str) -> np.ndarray:
-    """Row-by-row parse that names the line at fault when it rejects a file."""
+def _data_lines(path: str):
+    """(line number, stripped text) of every data row, as the scan sees
+    them; names the first non-ASCII line."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines = [ln.strip() for ln in fh]
     for lineno, line in enumerate(lines, 1):
         if not line.isascii():
             raise FormatError("%s:%d: non-ASCII byte" % (path, lineno))
     start = _lines_before_data(lines, path)
+    return [(n, line) for n, line in enumerate(lines[start:], start + 1) if line]
+
+
+def _scan_points(path: str) -> np.ndarray:
+    """Row-by-row parse that names the line at fault when it rejects a file."""
     rows = []
     ncols = None
-    for lineno, line in enumerate(lines[start:], start + 1):
-        if not line:
-            continue
+    for lineno, line in _data_lines(path):
         toks = line.split(",")
         if ncols is None:
             ncols = len(toks)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import similarity
-from .curvature import SemiImplicitOperator, bilaplacian, curvature_energy, neumann_solve
+from .curvature import bilaplacian, curvature_energy, neumann_solve
 from .errors import DivergenceError, ParameterError
 from .grid import (
     DisplacementField,
@@ -204,18 +204,6 @@ def objective(u, template, reference, config):
     return j, grad
 
 
-def _implicit_direction(operator):
-    """Semi-implicit direction for :func:`_line_search_rule`: with ``rest``
-    holding the gradient g = f + a B u at u, d = -dt (I + dt a B)^(-1) g,
-    so u + d is the implicit step (I + dt a B)^(-1) (u - dt f)."""
-
-    def direction(rest):
-        g = DisplacementField.from_vector(operator.geometry, rest[0])
-        return -operator.dt * operator.solve(g).as_vector()
-
-    return direction
-
-
 def _step_norm(x_new, x_old) -> float:
     """Largest per-pixel Euclidean change between two field vectors."""
     d = x_new - x_old
@@ -316,10 +304,11 @@ def register_level(template, reference, u0, config, level=0):
 
     Every solver is a step rule of :func:`fusereg.optimize.descend`
     (l-BFGS and trust-region through :func:`minimize_lbfgs`, semi-implicit
-    and Gauss-Newton through :func:`_line_search_rule`).  The iteration
-    history never shows an objective increase; a solver that finds no
-    decrease stops there.  Only a non-finite J at ``u0`` raises
-    :class:`DivergenceError`, with the partial trace attached.
+    and Gauss-Newton through :func:`_line_search_rule`); all of them invert
+    the curvature term by the DCT solve :func:`neumann_solve`, and none
+    factorizes.  The iteration history never shows an objective increase;
+    a solver that finds no decrease stops there.  Only a non-finite J at
+    ``u0`` raises :class:`DivergenceError`, with the partial trace attached.
     """
     _require_same_shape(template.geometry, reference.geometry, "register_level")
     _require_same_shape(template.geometry, u0.geometry, "register_level")
@@ -350,10 +339,14 @@ def register_level(template, reference, u0, config, level=0):
     t0 = time.perf_counter()
     try:
         if config.solver == "semi-implicit":
-            # factorized once per level: the line search scales the step,
-            # dt stays fixed
-            operator = SemiImplicitOperator(geometry, config.alpha, config.dt)
-            result = descend(full, x0, _line_search_rule(_implicit_direction(operator)), **limits)
+            # d = -dt (I + dt alpha B_N)^(-1) g: the implicit Euler-Lagrange
+            # step with B_N for B; the line search and its -g fallback absorb
+            # the difference in the two border rows
+            def direction(rest):
+                g = rest[0].reshape(2, *geometry.shape)
+                return -config.dt * neumann_solve(g, config.dt * config.alpha).ravel()
+
+            result = descend(full, x0, _line_search_rule(direction), **limits)
         elif config.solver == "gauss-newton":
             direction = _gauss_newton_direction(geometry, config.alpha)
             result = descend(full, x0, _line_search_rule(direction), **limits)

@@ -236,6 +236,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise FormatError("%s: bad PGM header" % path) from exc
+    if w < 1 or h < 1 or not 1 <= maxval <= 65535:
+        raise FormatError("%s: bad PGM header" % path)
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     raw = np.frombuffer(data[idx:], dtype=dtype)
     if raw.size != w * h:

@@ -52,8 +52,6 @@ print(json.dumps({
 
 # spans every tiny run above must record, one per patched hook it crosses
 EXPECTED_CALLS = (
-    "curvature.setup",
-    "curvature.solve",
     "curvature.bilaplacian",
     "curvature.energy",
     "similarity.ngf",
@@ -82,7 +80,7 @@ def test_tracer_hooks_are_called():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     metrics = out["metrics"]
-    assert metrics["curvature.setup_calls"] > 0
+    assert metrics["curvature.setup_calls"] == 0
     assert metrics["similarity.ngf_calls"] > 0
     assert metrics["similarity.mi_calls"] > 0
     assert metrics["grid.stencil_calls"] > 0
@@ -90,4 +88,4 @@ def test_tracer_hooks_are_called():
     missing = [name for name in EXPECTED_CALLS if not out["calls"].get(name)]
     assert not missing, missing
     assert out["evals"] > 0
-    assert out["factorizations"] > 0
+    assert out["factorizations"] == 0

@@ -176,6 +176,9 @@ def test_endpoint_error_rejects_degenerate_margin():
         endpoint_error(z, z, margin=4)
     with pytest.raises(ParameterError):
         endpoint_error(z, DisplacementField.zero(GridGeometry(9, 9)))
+    for margin in (-1, 2.5):
+        with pytest.raises(ParameterError, match="margin"):
+            endpoint_error(z, z, margin=margin)
 
 
 def test_mean_abs_difference(rng):

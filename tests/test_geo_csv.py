@@ -168,6 +168,45 @@ def test_invalid_values_rejected_on_both_paths(tmp_path, monkeypatch, name):
     assert isinstance(fast, str) and fast == scan
 
 
+# the same refusals name the file and the line of the first offending row;
+# name -> (file bytes, message suffix after "<path>")
+INVALID_VALUE_LINES = {
+    "fractional_return_line_4": (
+        b"x,y,z,i,r\n1,2,3,4,1\n\n5,6,7,8,1.5\n",
+        ":4: return numbers must be integers from 1 to 2**63 - 1",
+    ),
+    "negative_intensity": (b"1,2,3,4,1\n1,2,3,-4,1\n", ":2: intensities must be non-negative"),
+    "nan_easting": (b"1,2,3,4,1\nnan,2,3,4,1\n", ":2: easting contains non-finite entries"),
+    "inf_elevation_crlf": (
+        b"1,2,3,4,1\r\n\r\n1,2,-inf,4,1\r\n",
+        ":3: elevation contains non-finite entries",
+    ),
+    "nan_agc": (
+        b"e,n,z,i,r,agc\n1,2,3,4,1,0.5\n1,2,3,4,1,nan\n",
+        ":3: agc contains non-finite entries",
+    ),
+    # the first bad row decides, not the first check that fails
+    "first_row_wins": (
+        b"1,2,3,4,1\n1,2,3,-4,1\n1,nan,3,4,1\n",
+        ":2: intensities must be non-negative",
+    ),
+    "deep_in_a_strip": (
+        b"1,2,3,4,1\n" * 3776 + b"1,2,3,4,0\n" + b"1,2,3,4,1\n" * 1000,
+        ":3777: return numbers must be integers from 1 to 2**63 - 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_VALUE_LINES))
+def test_invalid_values_name_the_line(tmp_path, monkeypatch, name):
+    content, suffix = INVALID_VALUE_LINES[name]
+    p = tmp_path / "bad.csv"
+    p.write_bytes(content)
+    assert numpy_accepts(p)
+    fast, scan = read_both(p, monkeypatch)
+    assert fast == scan == str(p) + suffix
+
+
 def test_header_only_file_warns_nothing(tmp_path):
     p = tmp_path / "header.csv"
     p.write_text("easting,northing,elevation,intensity,return\n")

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from fusereg import nonparametric
-from fusereg.curvature import SemiImplicitOperator, curvature_energy
+from fusereg import curvature, nonparametric
+from fusereg.curvature import curvature_energy, neumann_solve
 from fusereg.errors import DivergenceError, GeometryError, IntensityRangeError, ParameterError
 from fusereg.evaluation import SyntheticDeformation, endpoint_error, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
@@ -279,25 +279,54 @@ def test_gauss_newton_cg_stops_before_its_cap(monkeypatch):
     assert max(matvecs) < 100
 
 
-def test_semi_implicit_factorizes_once_per_level(monkeypatch):
-    # the line search shortens the step along one direction; dt, and with
-    # it the operator, stays fixed for the whole level
+def test_no_solver_factorizes(monkeypatch):
+    # every solver inverts the curvature term by the DCT solve; the exact
+    # operator and its sparse LU are never built
     made = []
+    init = curvature.SemiImplicitOperator.__init__
 
-    class Recorded(SemiImplicitOperator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append((self.geometry.shape, self.dt))
+    def recorded(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(nonparametric, "SemiImplicitOperator", Recorded)
+    monkeypatch.setattr(curvature.SemiImplicitOperator, "__init__", recorded)
     tem, ref = translation_pair(n=64, shift=(1.0, 0.5), seed=3)
+    for solver in SOLVERS:
+        cfg = RegistrationConfig(
+            measure="SSD", alpha=1.0, solver=solver, dt=1000.0,
+            max_levels=2, max_iters_per_level=10,
+        )
+        _, trace = register_multilevel(tem, ref, cfg)
+        assert [lt.level for lt in trace.levels] == [1, 0]
+        assert all(lt.iterations >= 1 for lt in trace.levels), solver
+    assert made == []
+
+
+def test_semi_implicit_direction_is_the_dct_solve(monkeypatch):
+    # d = -dt (I + dt alpha B_N)^(-1) g, bit for bit
+    seen = []
+    line_search_rule = nonparametric._line_search_rule
+
+    def recorded_rule(direction):
+        def recorded(rest):
+            d = direction(rest)
+            seen.append((rest[0].copy(), d.copy()))
+            return d
+
+        return line_search_rule(recorded)
+
+    monkeypatch.setattr(nonparametric, "_line_search_rule", recorded_rule)
+    tem, ref = translation_pair(n=40, shift=(1.0, 0.5), seed=3)
+    dt, alpha = 7.0, 3.0
     cfg = RegistrationConfig(
-        measure="SSD", alpha=1.0, solver="semi-implicit", dt=1000.0,
-        max_levels=2, max_iters_per_level=10,
+        measure="SSD", alpha=alpha, solver="semi-implicit", dt=dt, max_iters_per_level=5
     )
-    _, trace = register_multilevel(tem, ref, cfg)
-    assert [lt.iterations >= 2 for lt in trace.levels] == [True, True]
-    assert made == [((32, 32), 1000.0), ((64, 64), 1000.0)]
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+    assert trace.iterations >= 1
+    assert len(seen) >= trace.iterations
+    for g, d in seen:
+        expected = -dt * neumann_solve(g.reshape(2, 40, 40), dt * alpha)
+        assert d.tobytes() == expected.ravel().tobytes()
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -351,17 +380,11 @@ def test_semi_implicit_survives_a_noisy_solve(monkeypatch):
     # falls back to -g instead of raising, and J never rises
     rng = np.random.default_rng(5)
 
-    class Noisy(SemiImplicitOperator):
-        def solve(self, rhs):
-            out = super().solve(rhs)
-            shape = out.geometry.shape
-            return DisplacementField(
-                out.geometry,
-                out.u_x + rng.normal(0.0, 0.1, shape),
-                out.u_y + rng.normal(0.0, 0.1, shape),
-            )
+    def noisy(values, c):
+        out = neumann_solve(values, c)
+        return out + rng.normal(0.0, 0.1, out.shape)
 
-    monkeypatch.setattr(nonparametric, "SemiImplicitOperator", Noisy)
+    monkeypatch.setattr(nonparametric, "neumann_solve", noisy)
     tem, ref = translation_pair(n=64, shift=(1.0, 0.5), seed=3)
     cfg = RegistrationConfig(
         measure="SSD", alpha=1.0, solver="semi-implicit", max_levels=2, max_iters_per_level=20

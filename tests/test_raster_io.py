@@ -202,3 +202,8 @@ def test_pgm_rejects_bad_input(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\nxx")  # truncated
     with pytest.raises(FormatError):
         read_pgm(p)
+    # payloads of the size each header asks for
+    for content in (b"P5\n2 2\n0\nxxxx", b"P5\n2 2\n70000\nxxxxxxxx", b"P5\n-2 -2\n255\nxxxx"):
+        p.write_bytes(content)
+        with pytest.raises(FormatError, match="bad PGM header"):
+            read_pgm(p)
