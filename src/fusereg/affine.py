@@ -2,9 +2,10 @@
 
 A six-parameter transform x' = A x + t (pixel coordinates) optimized by
 multilevel quasi-Newton descent on any of the intensity distances.  The
-optimization itself runs in a centred, half-extent-scaled parameter frame
-so that rotations, shears and translations have comparable magnitudes; the
-interface exposes plain pixel-frame parameters.
+optimization itself runs in border-pixel units: a unit change of any one
+parameter moves the outermost pixels by one pixel, so rotations, shears and
+translations have comparable magnitudes and l-BFGS's one-pixel first trial
+is one pixel; the interface exposes plain pixel-frame parameters.
 """
 
 from __future__ import annotations
@@ -112,38 +113,50 @@ def affine_to_displacement(params: AffineParams, geometry: GridGeometry) -> Disp
 
 
 # ---------------------------------------------------------------------------
-# normalized parameter frame
+# border-pixel parameter frame: p(x) = c + Z x_hat + z_t, x_hat = S^-1 (x - c)
 
 
 def _frame(geometry: GridGeometry):
-    cx = (geometry.width - 1) / 2.0
-    cy = (geometry.height - 1) / 2.0
-    sx = max(cx, 1.0)
-    sy = max(cy, 1.0)
-    return cx, cy, sx, sy
+    """Centre c and half extents S; x_hat spans [-1, 1] on each axis."""
+    c = np.array([(geometry.width - 1) / 2.0, (geometry.height - 1) / 2.0])
+    return c, np.maximum(c, 1.0)
 
 
 def _hat_to_pixel(phat: np.ndarray, geometry: GridGeometry):
-    """(A, t) in pixel frame from the centred normalized parameters."""
-    cx, cy, sx, sy = _frame(geometry)
-    ah = phat[:4].reshape(2, 2)
-    th = phat[4:]
-    s = np.array([[sx, 0.0], [0.0, sy]])
-    s_inv = np.array([[1.0 / sx, 0.0], [0.0, 1.0 / sy]])
-    a = s @ ah @ s_inv
-    c = np.array([cx, cy])
-    t = c + s @ th - a @ c
-    return a, t
+    """(A, t) in pixel frame from the border-pixel parameters (Z, z_t)."""
+    c, s = _frame(geometry)
+    a = phat[:4].reshape(2, 2) / s
+    return a, c + phat[4:] - a @ c
 
 
 def _pixel_to_hat(a: np.ndarray, t: np.ndarray, geometry: GridGeometry) -> np.ndarray:
-    cx, cy, sx, sy = _frame(geometry)
-    s = np.array([[sx, 0.0], [0.0, sy]])
-    s_inv = np.array([[1.0 / sx, 0.0], [0.0, 1.0 / sy]])
-    ah = s_inv @ a @ s
-    c = np.array([cx, cy])
-    th = s_inv @ (t + a @ c - c)
-    return np.concatenate([ah.ravel(), th])
+    c, s = _frame(geometry)
+    return np.concatenate([(a * s).ravel(), a @ c + t - c])
+
+
+def _objective(t_img: ScalarImage, r_level, cfg: RegistrationConfig):
+    """fun_grad(phat) -> (D, dD/dphat) of the distance of ``t_img`` seen
+    through the border-pixel parameters ``phat`` to ``r_level``."""
+    geometry = t_img.geometry
+    xs, ys = _pixel_grid(geometry)
+    (cx, cy), (sx, sy) = _frame(geometry)
+    xhat = (xs - cx) / sx
+    yhat = (ys - cy) / sy
+
+    def fun_grad(phat):
+        # u = x - p(x) with x = c + S x_hat: the identity gives u = 0
+        # exactly, so its pixels sample the template on the node lattice
+        u = DisplacementField(geometry, (sx - phat[0]) * xhat - phat[1] * yhat - phat[4],
+                              (sy - phat[3]) * yhat - phat[2] * xhat - phat[5])
+        warped, dtdx, dtdy = warp_with_jacobian(t_img, u)
+        res = _distance(warped, r_level, cfg)
+        wx = res.d_warped * dtdx
+        wy = res.d_warped * dtdy
+        grad = np.array([np.sum(wx * xhat), np.sum(wx * yhat), np.sum(wy * xhat),
+                         np.sum(wy * yhat), np.sum(wx), np.sum(wy)])
+        return res.value, grad
+
+    return fun_grad
 
 
 def register_affine(
@@ -182,31 +195,7 @@ def register_affine(
             # A -> A, t -> 2 t
             t = 2.0 * t
         phat0 = _pixel_to_hat(a, t, geometry)
-        xs, ys = _pixel_grid(geometry)
-        cx, cy, sx, sy = _frame(geometry)
-        xhat = (xs - cx) / sx
-        yhat = (ys - cy) / sy
-
-        def fun_grad(phat):
-            a_px, t_px = _hat_to_pixel(phat, geometry)
-            px = a_px[0, 0] * xs + a_px[0, 1] * ys + t_px[0]
-            py = a_px[1, 0] * xs + a_px[1, 1] * ys + t_px[1]
-            u = DisplacementField(geometry, xs - px, ys - py)
-            warped, dtdx, dtdy = warp_with_jacobian(t_img, u)
-            res = _distance(warped, r_level, cfg)
-            wx = res.d_warped * dtdx
-            wy = res.d_warped * dtdy
-            grad = np.array(
-                [
-                    float(np.sum(wx * xhat)) * sx,
-                    float(np.sum(wx * yhat)) * sx,
-                    float(np.sum(wy * xhat)) * sy,
-                    float(np.sum(wy * yhat)) * sy,
-                    float(np.sum(wx)) * sx,
-                    float(np.sum(wy)) * sy,
-                ]
-            )
-            return res.value, grad
+        fun_grad = _objective(t_img, r_level, cfg)
 
         level_trace = LevelTrace(
             level=level,
@@ -216,6 +205,7 @@ def register_affine(
         )
 
         def callback(k, phat, f, g, step):
+            # the trace's step column reads in border pixels
             level_trace.records.append(IterationRecord(k, f, f, 0.0, step))
 
         result = minimize_lbfgs(

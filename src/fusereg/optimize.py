@@ -160,7 +160,8 @@ def _lbfgs_step(memory, step_cap, h0_solve):
         d_inf = float(np.max(np.abs(d)))
         t = 1.0
         if not pairs and d_inf > 0.0:
-            # first trial step at most one pixel in any component
+            # first trial step at most one pixel in any component (every
+            # caller's x is in pixels, the affine baseline's in border pixels)
             t = min(1.0, 1.0 / d_inf)
         if step_cap is not None and d_inf * t > step_cap:
             t = step_cap / d_inf
@@ -195,12 +196,14 @@ def minimize_lbfgs(
     """Minimize fun_grad(x) -> (value, gradient) from x0 by l-BFGS.
 
     Runs :func:`descend` with Armijo steps and halving backtracks; a
-    vanishing gradient also ends the run as converged.  With ``step_cap``
-    set, trial steps are clipped so no component moves farther than the
-    cap (a step-limited trust-region flavour).  ``h0_solve(v)``, when
-    given, applies an SPD preconditioner as the seed matrix (see
-    :func:`_two_loop`), once per iterate, to the gradient there.
-    ``callback`` is that of :func:`descend`, its ``rest`` the gradient.
+    vanishing gradient also ends the run as converged.  Without curvature
+    pairs, the first trial moves no component of ``x``, which must be in
+    pixels, farther than one.  With ``step_cap`` set, trial steps are
+    clipped so no component moves farther than the cap (a step-limited
+    trust-region flavour).  ``h0_solve(v)``, when given, applies an SPD
+    preconditioner as the seed matrix (see :func:`_two_loop`), once per
+    iterate, to the gradient there.  ``callback`` is that of
+    :func:`descend`, its ``rest`` the gradient.
     """
     return descend(
         fun_grad,

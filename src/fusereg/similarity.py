@@ -110,17 +110,23 @@ def _bin_coordinates(values: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(values, 0.0, 1.0) * (bins - 1)
 
 
+def _parzen_radius(sigma: float, bins: int) -> int:
+    """Truncation radius R of the Parzen window in bins: 5 sigma, but never
+    wider than the histogram, whose bins all lie within bins - 1 of a pixel."""
+    return min(int(np.ceil(5.0 * sigma)), bins - 1)
+
+
 def _parzen_weights(c: np.ndarray, bins: int, sigma: float):
     """Per-pixel window weights over histogram bins, in band form.
 
     ``c`` holds continuous bin coordinates in [0, bins-1].  Pixel i spreads
-    over the 2R+1 bins ``start[i] - R + a`` (R = ceil(5 sigma), a the row
-    index), i.e. over columns ``start[i] + a`` of a histogram padded by R
-    bins on either side.  Returns (start, weights, d_weights_dc); weights
-    are normalized to sum to 1 for every pixel, taps beyond the truncation
-    radius or outside the histogram carry zero weight.
+    over the 2R+1 bins ``start[i] - R + a`` (R = :func:`_parzen_radius`, a
+    the row index), i.e. over columns ``start[i] + a`` of a histogram padded
+    by R bins on either side.  Returns (start, weights, d_weights_dc);
+    weights are normalized to sum to 1 for every pixel, taps beyond the
+    truncation radius or outside the histogram carry zero weight.
     """
-    radius = int(np.ceil(5.0 * sigma))
+    radius = _parzen_radius(sigma, bins)
     base = np.ceil(c - radius)
     offsets = np.arange(2 * radius + 1, dtype=np.float64)
     j = base[None, :] + offsets[:, None]
@@ -155,7 +161,7 @@ class ParzenBand:
     @classmethod
     def build(cls, image: ScalarImage, mask: np.ndarray, bins: int, sigma: float):
         r = _bin_coordinates(image.values[mask], bins)
-        radius = int(np.ceil(5.0 * sigma))
+        radius = _parzen_radius(sigma, bins)
         order = np.argsort(np.ceil(r - radius), kind="stable")
         r = r[order]
         taps = 2 * radius + 1
@@ -184,7 +190,7 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     marginals cancel because every window sums to 1.
     """
     bins, sigma = band.bins, band.sigma
-    radius = int(np.ceil(5.0 * sigma))
+    radius = _parzen_radius(sigma, bins)
     taps = 2 * radius + 1
     width = bins + 2 * radius
     inner = slice(radius, radius + bins)

@@ -1,20 +1,26 @@
 """Affine baseline: parameter algebra and multilevel recovery."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from fusereg.affine import (
     AffineParams,
+    _hat_to_pixel,
+    _objective,
+    _pixel_to_hat,
     affine_apply,
     affine_to_displacement,
     register_affine,
 )
 from fusereg.errors import DegenerateImageError, ParameterError
 from fusereg.evaluation import SyntheticDeformation, synthetic_texture
-from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
-from fusereg.nonparametric import RegistrationConfig
+from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, fill_nodata, warp
+from fusereg.nonparametric import RegistrationConfig, _level_reference
+
+NON_SQUARE = GridGeometry(37, 22)
 
 
 def invert(p: AffineParams) -> AffineParams:
@@ -96,6 +102,55 @@ def test_identity_displacement_is_zero(geom_small):
     u = affine_to_displacement(AffineParams.identity(), geom_small)
     np.testing.assert_array_equal(u.u_x, 0.0)
     np.testing.assert_array_equal(u.u_y, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# border-pixel parameter frame
+
+
+def random_transform(rng):
+    a = np.eye(2) + rng.normal(scale=0.05, size=(2, 2))
+    return a, rng.normal(scale=3.0, size=2)
+
+
+def test_frame_roundtrips_pixel_parameters(rng):
+    for _ in range(5):
+        a, t = random_transform(rng)
+        a_back, t_back = _hat_to_pixel(_pixel_to_hat(a, t, NON_SQUARE), NON_SQUARE)
+        np.testing.assert_allclose(a_back, a, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(t_back, t, rtol=0.0, atol=1e-12)
+
+
+def test_unit_parameter_change_moves_the_border_one_pixel(rng):
+    xs, ys = np.meshgrid(
+        np.arange(float(NON_SQUARE.width)), np.arange(float(NON_SQUARE.height))
+    )
+    a, t = random_transform(rng)
+    phat = _pixel_to_hat(a, t, NON_SQUARE)
+    before = np.stack([a[i, 0] * xs + a[i, 1] * ys + t[i] for i in range(2)])
+    for k in range(6):
+        a_k, t_k = _hat_to_pixel(phat + np.eye(6)[k], NON_SQUARE)
+        after = np.stack([a_k[i, 0] * xs + a_k[i, 1] * ys + t_k[i] for i in range(2)])
+        # parameters (z11, z12, z21, z22, zt_x, zt_y) move x, x, y, y, x, y
+        axis = 0 if k in (0, 1, 4) else 1
+        assert np.max(np.abs(after[axis] - before[axis])) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(after[1 - axis], before[1 - axis], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("measure", ("SSD", "NCC", "MI", "NGF"))
+def test_affine_gradient_matches_central_differences(measure, rng):
+    ref = synthetic_texture(NON_SQUARE, seed=31, smoothness=2.0)
+    gen = AffineParams(1.01, 0.02, -0.015, 0.99, 0.6, -0.4)
+    tem = fill_nodata(warp(ref, affine_to_displacement(gen, NON_SQUARE)))
+    cfg = RegistrationConfig(measure=measure, eta=0.1)
+    fun_grad = _objective(tem, _level_reference(ref, cfg), cfg)
+    phat = _pixel_to_hat(*random_transform(rng), NON_SQUARE)
+    _, grad = fun_grad(phat)
+    h = 1e-6
+    for k in range(6):
+        e = h * np.eye(6)[k]
+        fd = (fun_grad(phat + e)[0] - fun_grad(phat - e)[0]) / (2 * h)
+        assert grad[k] == pytest.approx(fd, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +242,40 @@ def test_level_stopped_at_iteration_zero_warns(caplog):
         _, trace = register_affine(tem, ref, "SSD", cfg)
     assert trace.levels[0].iterations > 0
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def benchmark_pair(seed, n=96):
+    """Template = reference seen through a 3 degree rotation and a 2% scale
+    about the centre plus a (1.8, 2.4) px shift."""
+    g = GridGeometry(n, n)
+    ref = synthetic_texture(g, seed=seed, smoothness=2.0)
+    rot = math.radians(3.0)
+    a = 1.02 * np.array([[math.cos(rot), -math.sin(rot)], [math.sin(rot), math.cos(rot)]])
+    c = np.full(2, (n - 1) / 2.0)
+    t = c - a @ c + np.array([1.8, 2.4])
+    gen = AffineParams(a[0, 0], a[0, 1], a[1, 0], a[1, 1], t[0], t[1])
+    return warp(ref, affine_to_displacement(gen, g)), ref
+
+
+@pytest.mark.parametrize("seed", (3, 4, 5))
+def test_fine_level_rejects_few_trials(seed):
+    # the fine level starts close to the answer with an empty l-BFGS memory:
+    # a first trial of one pixel at the border needs few halvings
+    tem, ref = benchmark_pair(seed)
+    cfg = RegistrationConfig(measure="MI", max_levels=2, max_iters_per_level=300)
+    _, trace = register_affine(tem, ref, "MI", cfg)
+    fine = trace.levels[-1]
+    assert fine.iterations > 0
+    assert fine.evaluations - fine.iterations - 1 <= 3
+
+
+def test_fine_ngf_level_iterates_on_a_lattice_shift():
+    tem, ref, truth = shifted_pair()
+    cfg = RegistrationConfig(
+        measure="NGF", eta=0.02, max_levels=2, max_iters_per_level=150,
+        rel_tolerance=1e-10,
+    )
+    params, trace = register_affine(tem, ref, "NGF", cfg)
+    assert trace.levels[-1].iterations >= 1
+    np.testing.assert_allclose(params.translation, truth.translation, atol=1e-3)
+    np.testing.assert_allclose(params.matrix, np.eye(2), atol=1e-4)

@@ -14,6 +14,7 @@ from fusereg.errors import DegenerateImageError, IntensityRangeError, ParameterE
 from fusereg.grid import GridGeometry, ScalarImage
 from fusereg.similarity import (
     MEASURES,
+    _parzen_weights,
     evaluate,
     level_reference,
     mi,
@@ -308,6 +309,43 @@ def test_level_reference_matches_plain_images(masked_pair):
         evaluate("MI", t, level, mi_bins=16)
     with pytest.raises(ParameterError):
         evaluate("NGF", t, level)
+
+
+def _whole_histogram_mi(t_vals, r_vals, bins, sigma):
+    """-MI and its derivative when every pixel's window spans the whole
+    histogram, dense: the joint is W_t^T W_r / n."""
+    j = np.arange(bins)
+
+    def windows(v):
+        dist = j[None, :] - v[:, None] * (bins - 1)
+        w = np.exp(-0.5 * (dist / sigma) ** 2)
+        w /= np.sum(w, axis=1, keepdims=True)
+        mu = np.sum(w * dist, axis=1, keepdims=True)
+        return w, w * (dist - mu) / sigma**2
+
+    w_t, dw_t = windows(t_vals)
+    w_r, _ = windows(r_vals)
+    n = t_vals.size
+    joint = w_t.T @ w_r / n
+    log_ratio = np.log(joint / np.outer(joint.sum(axis=1), joint.sum(axis=0)))
+    value = -float(np.sum(joint * log_ratio))
+    grad = -(bins - 1) / n * np.sum(dw_t * (w_r @ log_ratio.T), axis=1)
+    return value, grad
+
+
+def test_wide_parzen_window_is_bounded_by_the_histogram():
+    # every bin lies within bins - 1 of any pixel, so no window needs more
+    # than 2 bins - 1 taps (a 5-sigma window at sigma = 100 spans 1001)
+    g = GridGeometry(4, 4)
+    bins = 8
+    base = np.linspace(0.0, 1.0, g.width * g.height).reshape(g.shape)
+    _, weights, _ = _parzen_weights(base.ravel() * (bins - 1), bins, 100.0)
+    assert weights.shape[0] <= 2 * bins - 1
+    # at sigma = 2 the bound applies too, and MI stays far from 0
+    res = mi(ScalarImage(g, base), ScalarImage(g, base**2), bins=bins, parzen_sigma=2.0)
+    want_value, want_grad = _whole_histogram_mi(base.ravel(), base.ravel() ** 2, bins, 2.0)
+    assert res.value == pytest.approx(want_value, rel=1e-12)
+    np.testing.assert_allclose(res.d_warped.ravel(), want_grad, rtol=1e-12, atol=0.0)
 
 
 THREADS_SCRIPT = r"""
