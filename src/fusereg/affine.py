@@ -10,12 +10,10 @@ is one pixel; the interface exposes plain pixel-frame parameters.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import similarity
 from .errors import ParameterError
 from .grid import (
     DisplacementField,
@@ -32,13 +30,12 @@ from .nonparametric import (
     IterationRecord,
     LevelTrace,
     RegistrationConfig,
-    RegistrationTrace,
+    _coarse_to_fine,
     _distance,
     _level_reference,
+    _run_level,
 )
 from .optimize import minimize_lbfgs
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -171,67 +168,43 @@ def register_affine(
     iteration trace (regularizer column is zero: the transform itself is
     the regularity constraint).
     """
-    if measure not in similarity.MEASURES:
-        raise ParameterError("unknown measure %r" % measure)
+    cfg = config if config.measure == measure else replace(config, measure=measure)
     _require_same_shape(template.geometry, reference.geometry, "register_affine")
     _check_normalized(template, "template")
     _check_normalized(reference, "reference")
-    cfg = config if config.measure == measure else replace(config, measure=measure)
-    pyr_t = build_pyramid(template, cfg.max_levels)
-    pyr_r = build_pyramid(reference, cfg.max_levels)
-    n_levels = min(len(pyr_t), len(pyr_r))
-    trace = RegistrationTrace()
-    a = np.eye(2)
-    t = np.zeros(2)
-    for level in range(n_levels - 1, -1, -1):
+
+    def solve_level(level, t_l, r_l, state):
         # gap-free template + clamped sampling keep the distance continuous
         # in the parameters (a masked sum would reward transforms that push
         # pixels out of the domain; SSD exploits that immediately)
-        t_img = fill_nodata(pyr_t[level])
-        r_level = _level_reference(pyr_r[level], cfg)
+        t_img = fill_nodata(t_l)
         geometry = t_img.geometry
-        if level < n_levels - 1:
-            # pixel transforms transfer across node-centred levels as
-            # A -> A, t -> 2 t
-            t = 2.0 * t
+        fun_grad = _objective(t_img, _level_reference(r_l, cfg), cfg)
+        # pixel transforms transfer across node-centred levels as
+        # A -> A, t -> 2 t
+        a, t = (np.eye(2), np.zeros(2)) if state is None else (state[0], 2.0 * state[1])
         phat0 = _pixel_to_hat(a, t, geometry)
-        fun_grad = _objective(t_img, r_level, cfg)
-
-        level_trace = LevelTrace(
-            level=level,
-            width=geometry.width,
-            height=geometry.height,
-            solver="affine-" + measure.lower(),
-        )
+        level_trace = LevelTrace(level, geometry.width, geometry.height, "affine-" + measure.lower())
 
         def callback(k, phat, f, g, step):
             # the trace's step column reads in border pixels
             level_trace.records.append(IterationRecord(k, f, f, 0.0, step))
 
-        result = minimize_lbfgs(
-            fun_grad,
-            phat0,
-            max_iters=cfg.max_iters_per_level,
-            rel_tolerance=cfg.rel_tolerance,
-            callback=callback,
-        )
-        level_trace.converged = result.converged
-        level_trace.evaluations = result.n_evals
-        trace.levels.append(level_trace)
-        a, t = _hat_to_pixel(result.x, geometry)
-        if level_trace.iterations == 0:
-            log.warning(
-                "affine level %d (%dx%d, %s) stopped at iteration 0: the transform did not move",
-                level, geometry.width, geometry.height, measure,
+        def minimize():
+            return minimize_lbfgs(
+                fun_grad,
+                phat0,
+                max_iters=cfg.max_iters_per_level,
+                rel_tolerance=cfg.rel_tolerance,
+                callback=callback,
             )
-        log.info(
-            "affine level %d (%dx%d, %s): %d iterations, D=%.6e",
-            level,
-            geometry.width,
-            geometry.height,
-            measure,
-            level_trace.iterations,
-            result.fun,
-        )
+
+        name = "affine level %d (%dx%d, %s)" % (level, geometry.width, geometry.height, measure)
+        result = _run_level(level_trace, minimize, name)
+        return _hat_to_pixel(result.x, geometry), level_trace
+
+    pyr_t = build_pyramid(template, cfg.max_levels)
+    pyr_r = build_pyramid(reference, cfg.max_levels)
+    (a, t), trace = _coarse_to_fine(pyr_t, pyr_r, solve_level)
     params = AffineParams(a[0, 0], a[0, 1], a[1, 0], a[1, 1], t[0], t[1])
     return params, trace

@@ -34,7 +34,10 @@ class DivergenceError(FuseRegError):
     the starting point.  (A solver that finds no decrease stops instead.)
 
     Carries the partial iteration trace and the pyramid level so callers
-    can inspect what happened before the failure.
+    can inspect what happened before the failure: from a multilevel
+    registration (non-parametric or affine) the trace up to and including
+    the failing level, from :func:`fusereg.nonparametric.register_level`
+    that level's own trace.
     """
 
     def __init__(self, message, trace=None, level=None):

@@ -375,14 +375,12 @@ def laplacian_adjoint_values(weights: np.ndarray, spacing_x: float, spacing_y: f
     """Exact transpose of :func:`laplacian_values`."""
     out = np.zeros_like(weights)
     tx = weights / spacing_x**2
-    tx = tx.copy()
     tx[:, 0] = 0.0
     tx[:, -1] = 0.0
     out[:, :-1] += tx[:, 1:]
     out -= 2.0 * tx
     out[:, 1:] += tx[:, :-1]
     ty = weights / spacing_y**2
-    ty = ty.copy()
     ty[0, :] = 0.0
     ty[-1, :] = 0.0
     out[:-1, :] += ty[1:, :]

@@ -10,7 +10,8 @@ solved by one of four step rules of the one descent loop
 :func:`fusereg.optimize.descend`: limited-memory BFGS, a step-capped
 trust-region variant, or one Armijo line search along either the
 semi-implicit step of the Euler-Lagrange equations or a Gauss-Newton step
-with per-pixel Hessian blocks.
+with per-pixel Hessian blocks.  The coarse-to-fine driver and the level
+runner also serve the affine baseline in :mod:`fusereg.affine`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ class RegistrationConfig:
         if self.measure not in similarity.MEASURES:
             raise ParameterError("unknown measure %r" % self.measure)
         similarity.check_mi_parameters(self.mi_bins, self.mi_parzen_sigma)
+        if self.mi_parzen_sigma == 0.0:
+            # the nearest-bin MI has a zero derivative almost everywhere, so
+            # a registration would stand still and report success
+            raise ParameterError("mi_parzen_sigma must be positive to register with MI")
         if self.solver not in SOLVERS:
             raise ParameterError("unknown solver %r" % self.solver)
         for name in ("alpha", "eta", "dt", "trust_radius"):
@@ -177,8 +182,8 @@ def _distance(warped, reference, config):
 
 
 def _objective_full(u, template, reference, config):
-    """Objective value, its two terms, the gradient field, and the warp's
-    Jacobian ``(dtdx, dtdy)``.
+    """Objective value, its two terms, the gradient as one ``(2, h, w)``
+    array, and the warp's Jacobian ``(dtdx, dtdy)``.
 
     The template must be gap free (see :func:`fill_nodata`); it is sampled
     with edge clamping so the objective stays continuous in u.  The
@@ -189,9 +194,10 @@ def _objective_full(u, template, reference, config):
     s_val = curvature_energy(u)
     j = res.value + config.alpha * s_val
     breg = bilaplacian(u)
-    gx = -res.d_warped * dtdx + config.alpha * breg.u_x
-    gy = -res.d_warped * dtdy + config.alpha * breg.u_y
-    return j, res.value, s_val, DisplacementField(u.geometry, gx, gy), (dtdx, dtdy)
+    grad = np.empty((2,) + u.geometry.shape)
+    np.add(-res.d_warped * dtdx, config.alpha * breg.u_x, out=grad[0])
+    np.add(-res.d_warped * dtdy, config.alpha * breg.u_y, out=grad[1])
+    return j, res.value, s_val, grad, (dtdx, dtdy)
 
 
 def objective(u, template, reference, config):
@@ -201,14 +207,13 @@ def objective(u, template, reference, config):
     _check_normalized(template, "template")
     _check_normalized(reference, "reference")
     j, _, _, grad, _ = _objective_full(u, fill_nodata(template), reference, config)
-    return j, grad
+    return j, DisplacementField(u.geometry, grad[0], grad[1])
 
 
 def _step_norm(x_new, x_old) -> float:
-    """Largest per-pixel Euclidean change between two field vectors."""
+    """Largest per-pixel Euclidean change between two ``(2, h, w)`` fields."""
     d = x_new - x_old
-    n = d.size // 2
-    return float(np.max(np.sqrt(d[:n] ** 2 + d[n:] ** 2)))
+    return float(np.max(np.sqrt(d[0] ** 2 + d[1] ** 2)))
 
 
 def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8):
@@ -239,15 +244,13 @@ def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8)
     return x
 
 
-def _gauss_newton_direction(geometry, alpha):
+def _gauss_newton_direction(alpha):
     """Gauss-Newton direction for :func:`_line_search_rule`: a CG solution
     of the Gauss-Newton system.  ``rest`` is the gradient and the warp
     Jacobian ``(dtdx, dtdy)`` there, which the Hessian blocks reuse."""
-    n = geometry.width * geometry.height
-    shape = geometry.shape
 
     def direction(rest):
-        g_vec, (dtdx, dtdy) = rest
+        g, (dtdx, dtdy) = rest
         h11 = dtdx * dtdx
         h12 = dtdx * dtdy
         h22 = dtdy * dtdy
@@ -257,19 +260,19 @@ def _gauss_newton_direction(geometry, alpha):
         # border, a scalar fit of the data part
         mu_bar = 0.5 * float(np.mean(h11 + h22)) + mu
 
-        def apply_h(vec):
-            vx = vec[:n].reshape(shape)
-            vy = vec[n:].reshape(shape)
+        def apply_h(v):
+            vx, vy = v
             bx = laplacian_adjoint_values(laplacian_values(vx, 1.0, 1.0), 1.0, 1.0)
             by = laplacian_adjoint_values(laplacian_values(vy, 1.0, 1.0), 1.0, 1.0)
-            ox = h11 * vx + h12 * vy + alpha * bx + mu * vx
-            oy = h12 * vx + h22 * vy + alpha * by + mu * vy
-            return np.concatenate([ox.ravel(), oy.ravel()])
+            return np.stack([
+                h11 * vx + h12 * vy + alpha * bx + mu * vx,
+                h12 * vx + h22 * vy + alpha * by + mu * vy,
+            ])
 
-        def precondition(vec):
-            return neumann_solve(vec.reshape(2, *shape), alpha / mu_bar).ravel() / mu_bar
+        def precondition(v):
+            return neumann_solve(v, alpha / mu_bar) / mu_bar
 
-        return _conjugate_gradient(apply_h, -g_vec, precondition)
+        return _conjugate_gradient(apply_h, -g, precondition)
 
     return direction
 
@@ -280,17 +283,17 @@ def _line_search_rule(direction):
     or finds no decrease.  ``rest[0]`` is the gradient at ``x``."""
 
     def step(fun, x, j, rest):
-        g_vec = rest[0]
+        g = rest[0]
         delta = direction(rest)
-        slope = float(np.sum(g_vec * delta))
+        slope = float(np.sum(g * delta))
         if not np.isfinite(slope) or slope >= 0.0:
-            delta = -g_vec
-            slope = float(np.sum(g_vec * delta))
+            delta = -g
+            slope = float(np.sum(g * delta))
         hit = armijo_backtrack(fun, x, j, delta, slope)
-        if hit is None and not np.array_equal(delta, -g_vec):
+        if hit is None and not np.array_equal(delta, -g):
             # the model can be useless where the interpolant kinks
             # (integer-aligned u); steepest descent still gets off the spot
-            hit = armijo_backtrack(fun, x, j, -g_vec, -float(np.sum(g_vec * g_vec)))
+            hit = armijo_backtrack(fun, x, j, -g, -float(np.sum(g * g)))
         if hit is None:
             return None
         _, x_try, j_try, rest_try = hit
@@ -299,16 +302,68 @@ def _line_search_rule(direction):
     return step
 
 
+def _run_level(trace, minimize, name):
+    """Run one level's minimization ``minimize()`` into ``trace``.
+
+    The one place that records how a level ended: its wall time, the
+    result's ``converged`` and ``n_evals``, the iteration-0 warning and the
+    summary line, ``name`` introducing both.  A :class:`DivergenceError`
+    leaves with the level trace and its level attached.
+    """
+    t0 = time.perf_counter()
+    try:
+        result = minimize()
+    except DivergenceError as err:
+        err.trace = trace
+        err.level = trace.level
+        raise
+    finally:
+        trace.wall_time = time.perf_counter() - t0
+    trace.converged = result.converged
+    trace.evaluations = result.n_evals
+    if trace.iterations == 0:
+        log.warning("%s stopped at iteration 0: no step was accepted", name)
+    log.info(
+        "%s: %d iterations, J=%.6e, converged=%s",
+        name, trace.iterations, result.fun, trace.converged,
+    )
+    return result
+
+
+def _coarse_to_fine(pyr_t, pyr_r, solve_level):
+    """Solve two image pyramids coarsest level first.
+
+    ``solve_level(level, template, reference, state)`` returns the level's
+    solution (``None`` comes in on the coarsest level, then the previous
+    level's solution) and its :class:`LevelTrace`.  Returns the finest
+    solution and the :class:`RegistrationTrace`; a :class:`DivergenceError`
+    leaves with that trace, up to the failing level, in place of the
+    level's own.
+    """
+    trace = RegistrationTrace()
+    state = None
+    for level in range(min(len(pyr_t), len(pyr_r)) - 1, -1, -1):
+        try:
+            state, level_trace = solve_level(level, pyr_t[level], pyr_r[level], state)
+        except DivergenceError as err:
+            trace.levels.append(err.trace)
+            err.trace = trace
+            raise
+        trace.levels.append(level_trace)
+    return state, trace
+
+
 def register_level(template, reference, u0, config, level=0):
     """Run the configured solver on one pyramid level.
 
     Every solver is a step rule of :func:`fusereg.optimize.descend`
     (l-BFGS and trust-region through :func:`minimize_lbfgs`, semi-implicit
-    and Gauss-Newton through :func:`_line_search_rule`); all of them invert
-    the curvature term by the DCT solve :func:`neumann_solve`, and none
-    factorizes.  The iteration history never shows an objective increase;
-    a solver that finds no decrease stops there.  Only a non-finite J at
-    ``u0`` raises :class:`DivergenceError`, with the partial trace attached.
+    and Gauss-Newton through :func:`_line_search_rule`) on the field as
+    one ``(2, h, w)`` array; all of them invert the curvature term by the
+    DCT solve :func:`neumann_solve`, and none factorizes.  The iteration
+    history never shows an objective increase; a solver that finds no
+    decrease stops there.  Only a non-finite J at ``u0`` raises
+    :class:`DivergenceError`, with the partial trace attached.
     """
     _require_same_shape(template.geometry, reference.geometry, "register_level")
     _require_same_shape(template.geometry, u0.geometry, "register_level")
@@ -319,9 +374,9 @@ def register_level(template, reference, u0, config, level=0):
     terms = {}  # D and S of the latest evaluation, the accepted one at callbacks
 
     def full(x):
-        u = DisplacementField.from_vector(geometry, x)
+        u = DisplacementField(geometry, x[0], x[1])
         j, terms["D"], terms["S"], grad, jac = _objective_full(u, template, reference, config)
-        return j, (grad.as_vector(), jac)
+        return j, (grad, jac)
 
     def fun_grad(x):
         j, (grad, _) = full(x)
@@ -335,54 +390,32 @@ def register_level(template, reference, u0, config, level=0):
         rel_tolerance=config.rel_tolerance,
         callback=record,
     )
-    x0 = u0.as_vector()
-    t0 = time.perf_counter()
-    try:
+    x0 = np.stack([u0.u_x, u0.u_y])
+
+    def minimize():
         if config.solver == "semi-implicit":
             # d = -dt (I + dt alpha B_N)^(-1) g: the implicit Euler-Lagrange
             # step with B_N for B; the line search and its -g fallback absorb
             # the difference in the two border rows
             def direction(rest):
-                g = rest[0].reshape(2, *geometry.shape)
-                return -config.dt * neumann_solve(g, config.dt * config.alpha).ravel()
+                return -config.dt * neumann_solve(rest[0], config.dt * config.alpha)
 
-            result = descend(full, x0, _line_search_rule(direction), **limits)
-        elif config.solver == "gauss-newton":
-            direction = _gauss_newton_direction(geometry, config.alpha)
-            result = descend(full, x0, _line_search_rule(direction), **limits)
-        else:
-            # seed the quasi-Newton model with (I + alpha B_N)^(-1): the stiff
-            # curvature block dominates the Hessian spectrum and an identity
-            # seed forces thousands of tiny steps
-            def h0_solve(vec):
-                return neumann_solve(vec.reshape(2, *geometry.shape), config.alpha).ravel()
+            return descend(full, x0, _line_search_rule(direction), **limits)
+        if config.solver == "gauss-newton":
+            direction = _gauss_newton_direction(config.alpha)
+            return descend(full, x0, _line_search_rule(direction), **limits)
+        # seed the quasi-Newton model with (I + alpha B_N)^(-1): the stiff
+        # curvature block dominates the Hessian spectrum and an identity
+        # seed forces thousands of tiny steps
+        def h0_solve(v):
+            return neumann_solve(v, config.alpha)
 
-            cap = config.trust_radius if config.solver == "trust-region" else None
-            result = minimize_lbfgs(fun_grad, x0, step_cap=cap, h0_solve=h0_solve, **limits)
-    except DivergenceError as err:
-        err.trace = trace
-        err.level = level
-        raise
-    finally:
-        trace.wall_time = time.perf_counter() - t0
-    trace.converged = result.converged
-    trace.evaluations = result.n_evals
-    if trace.iterations == 0:
-        log.warning(
-            "level %d (%dx%d, %s) stopped at iteration 0: the field did not move",
-            level, geometry.width, geometry.height, config.solver,
-        )
-    log.info(
-        "level %d (%dx%d, %s): %d iterations, J=%.6e, converged=%s",
-        level,
-        geometry.width,
-        geometry.height,
-        config.solver,
-        trace.iterations,
-        trace.records[-1].objective,
-        trace.converged,
-    )
-    return DisplacementField.from_vector(geometry, result.x), trace
+        cap = config.trust_radius if config.solver == "trust-region" else None
+        return minimize_lbfgs(fun_grad, x0, step_cap=cap, h0_solve=h0_solve, **limits)
+
+    name = "level %d (%dx%d, %s)" % (level, geometry.width, geometry.height, config.solver)
+    x = _run_level(trace, minimize, name).x
+    return DisplacementField(geometry, x[0], x[1]), trace
 
 
 def register_multilevel(template, reference, config):
@@ -394,30 +427,17 @@ def register_multilevel(template, reference, config):
     _require_same_shape(template.geometry, reference.geometry, "register_multilevel")
     _check_normalized(template, "template")
     _check_normalized(reference, "reference")
-    pyr_t = build_pyramid(template, config.max_levels)
-    pyr_r = build_pyramid(reference, config.max_levels)
-    n_levels = min(len(pyr_t), len(pyr_r))
-    trace = RegistrationTrace()
-    u = None
-    for level in range(n_levels - 1, -1, -1):
-        t_l = pyr_t[level]
-        r_l = pyr_r[level]
-        if u is None:
-            u = DisplacementField.zero(t_l.geometry)
-        else:
-            u = prolong(u, t_l.geometry)
+
+    def solve_level(level, t_l, r_l, u):
+        u = DisplacementField.zero(t_l.geometry) if u is None else prolong(u, t_l.geometry)
         # in pixel units the curvature energy of a fixed physical field is
         # level-invariant while the distance shrinks with the pixel count,
         # so a constant alpha would over-regularize each coarser level by
         # 4x; scaling alpha keeps every level a discretization of the same
         # continuum objective
         cfg_l = replace(config, alpha=config.alpha * 0.25**level)
-        try:
-            u, level_trace = register_level(t_l, r_l, u, cfg_l, level=level)
-        except DivergenceError as err:
-            if err.trace is not None:
-                trace.levels.append(err.trace)
-            err.trace = trace
-            raise
-        trace.levels.append(level_trace)
-    return u, trace
+        return register_level(t_l, r_l, u, cfg_l, level=level)
+
+    pyr_t = build_pyramid(template, config.max_levels)
+    pyr_r = build_pyramid(reference, config.max_levels)
+    return _coarse_to_fine(pyr_t, pyr_r, solve_level)

@@ -102,7 +102,7 @@ def check_mi_parameters(bins, parzen_sigma):
     if parzen_sigma > 0.0 and math.exp(-0.125 / parzen_sigma**2) == 0.0:
         raise ParameterError(
             "parzen_sigma %g is so small that the Parzen window underflows; "
-            "use 0 (nearest bin) or a value >= 0.013" % parzen_sigma
+            "use a value >= 0.013" % parzen_sigma
         )
 
 

@@ -1,11 +1,13 @@
 """Affine baseline: parameter algebra and multilevel recovery."""
 
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from fusereg import affine
 from fusereg.affine import (
     AffineParams,
     _hat_to_pixel,
@@ -15,7 +17,7 @@ from fusereg.affine import (
     affine_to_displacement,
     register_affine,
 )
-from fusereg.errors import DegenerateImageError, ParameterError
+from fusereg.errors import DegenerateImageError, DivergenceError, ParameterError
 from fusereg.evaluation import SyntheticDeformation, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, fill_nodata, warp
 from fusereg.nonparametric import RegistrationConfig, _level_reference
@@ -242,6 +244,38 @@ def test_level_stopped_at_iteration_zero_warns(caplog):
         _, trace = register_affine(tem, ref, "SSD", cfg)
     assert trace.levels[0].iterations > 0
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_divergence_carries_level_and_partial_trace(monkeypatch):
+    # a non-finite distance on the fine level only: the coarse level
+    # completes, the fine one raises at its start
+    distance = affine._distance
+
+    def broken_on_level0(warped, reference, cfg):
+        res = distance(warped, reference, cfg)
+        return dataclasses.replace(res, value=float("nan")) if warped.geometry.width == 64 else res
+
+    monkeypatch.setattr(affine, "_distance", broken_on_level0)
+    tem, ref, _ = shifted_pair(n=64, t=(1.0, 0.5))
+    cfg = RegistrationConfig(measure="SSD", max_levels=2)
+    with pytest.raises(DivergenceError, match="not finite at the starting point") as info:
+        register_affine(tem, ref, "SSD", cfg)
+    err = info.value
+    assert err.level == 0
+    assert [lt.level for lt in err.trace.levels] == [1, 0]
+    assert err.trace.levels[0].iterations >= 1
+    level_trace = err.trace.levels[1]
+    assert level_trace.records == []
+    assert not level_trace.converged
+    assert level_trace.wall_time > 0.0
+
+
+def test_every_level_records_its_wall_time():
+    tem, ref, _ = shifted_pair(n=64, t=(1.5, -1.0), seed=29)
+    cfg = RegistrationConfig(measure="SSD", max_levels=2)
+    _, trace = register_affine(tem, ref, "SSD", cfg)
+    assert [lt.level for lt in trace.levels] == [1, 0]
+    assert all(lt.wall_time > 0.0 for lt in trace.levels)
 
 
 def benchmark_pair(seed, n=96):

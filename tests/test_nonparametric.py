@@ -76,6 +76,7 @@ def test_config_rejects_unknown_names():
     ("mi_parzen_sigma", float("inf")),
     ("mi_parzen_sigma", 1e-3),
     ("mi_parzen_sigma", 0.0125),
+    ("mi_parzen_sigma", 0.0),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ParameterError):
