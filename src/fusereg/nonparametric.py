@@ -216,9 +216,12 @@ def _step_norm(x_new, x_old) -> float:
     return float(np.max(np.sqrt(d[0] ** 2 + d[1] ** 2)))
 
 
-def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8):
-    """Preconditioned CG on a symmetric positive definite operator; stops
-    once the residual norm falls below ``rel_tol`` times that of ``rhs``."""
+def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=0.1):
+    """Preconditioned CG from x = 0 on a symmetric positive definite
+    operator; stops once the residual norm falls below ``rel_tol`` times
+    that of ``rhs``.  The default 10% truncates the solve (inexact Newton:
+    Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996); every iterate
+    has x . rhs = x . H x > 0, a descent direction for the gradient -rhs."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     r0 = np.sqrt(float(np.sum(r * r)))
@@ -245,20 +248,23 @@ def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=1e-8)
 
 
 def _gauss_newton_direction(alpha):
-    """Gauss-Newton direction for :func:`_line_search_rule`: a CG solution
-    of the Gauss-Newton system.  ``rest`` is the gradient and the warp
-    Jacobian ``(dtdx, dtdy)`` there, which the Hessian blocks reuse."""
+    """Gauss-Newton direction for :func:`_line_search_rule`: a truncated
+    preconditioned CG solve of the Gauss-Newton system, stopped at a 10%
+    residual (inexact Newton, see :func:`_conjugate_gradient`).  ``rest``
+    is the gradient and the warp Jacobian ``(dtdx, dtdy)`` there, which
+    the Hessian blocks reuse."""
 
     def direction(rest):
         g, (dtdx, dtdy) = rest
         h11 = dtdx * dtdx
         h12 = dtdx * dtdy
         h22 = dtdy * dtdy
-        mu = 1e-6 * max(1.0, float(np.mean(h11 + h22)))
+        trace_mean = float(np.mean(h11 + h22))
+        mu = 1e-6 * max(1.0, trace_mean)
         # the DCT inverse of mu_bar I + alpha B_N, mu_bar the mean diagonal
         # of the data blocks: exact on the curvature part away from the
         # border, a scalar fit of the data part
-        mu_bar = 0.5 * float(np.mean(h11 + h22)) + mu
+        mu_bar = 0.5 * trace_mean + mu
 
         def apply_h(v):
             vx, vy = v

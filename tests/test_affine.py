@@ -231,7 +231,7 @@ def test_level_stopped_at_iteration_zero_warns(caplog):
     bump = SyntheticDeformation(kind="gaussian-bump", amplitude=2.5, sigma=12.0)
     tem = warp(ref, bump.realized(g))
     cfg = RegistrationConfig(measure="NGF", max_levels=2)
-    with caplog.at_level(logging.WARNING, logger="fusereg.affine"):
+    with caplog.at_level(logging.WARNING, logger="fusereg.nonparametric"):
         _, trace = register_affine(tem, ref, "NGF", cfg)
     assert [lt.iterations for lt in trace.levels] == [0, 0]
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
@@ -240,7 +240,7 @@ def test_level_stopped_at_iteration_zero_warns(caplog):
     caplog.clear()
     tem, ref, _ = shifted_pair(n=48, t=(1.0, 0.5))
     cfg = RegistrationConfig(measure="SSD", max_levels=1, max_iters_per_level=5)
-    with caplog.at_level(logging.WARNING, logger="fusereg.affine"):
+    with caplog.at_level(logging.WARNING, logger="fusereg.nonparametric"):
         _, trace = register_affine(tem, ref, "SSD", cfg)
     assert trace.levels[0].iterations > 0
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

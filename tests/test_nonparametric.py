@@ -280,6 +280,43 @@ def test_gauss_newton_cg_stops_before_its_cap(monkeypatch):
     assert max(matvecs) < 100
 
 
+def test_gauss_newton_cg_is_truncated_at_a_tenth(monkeypatch):
+    # inexact Gauss-Newton: each inner PCG stops at a 10% residual, and
+    # every truncated solve is still a descent direction, so the line
+    # search never falls back to -g
+    solves = []
+    conjugate_gradient = nonparametric._conjugate_gradient
+
+    def recorded(apply_h, rhs, *args, **kwargs):
+        calls = [0]
+
+        def counted_h(vec):
+            calls[0] += 1
+            return apply_h(vec)
+
+        out = conjugate_gradient(counted_h, rhs, *args, **kwargs)
+        residual = np.linalg.norm(apply_h(out) - rhs) / np.linalg.norm(rhs)
+        # rhs = -g, so the slope g . d is -rhs . out
+        solves.append((calls[0], residual, -float(np.sum(rhs * out))))
+        return out
+
+    monkeypatch.setattr(nonparametric, "_conjugate_gradient", recorded)
+    g = GridGeometry(64, 64)
+    ref = synthetic_texture(g, seed=11, smoothness=2.0)
+    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=3.0, sigma=10.0)
+    tem = warp(ref, bump.realized(g))
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=5.0, solver="gauss-newton", max_iters_per_level=20
+    )
+    _, trace = register_level(tem, ref, DisplacementField.zero(g), cfg)
+    assert trace.iterations >= 2
+    assert len(solves) >= trace.iterations
+    for matvecs, residual, slope in solves:
+        assert residual <= 0.1
+        assert matvecs <= 20
+        assert slope < 0.0
+
+
 def test_no_solver_factorizes(monkeypatch):
     # every solver inverts the curvature term by the DCT solve; the exact
     # operator and its sparse LU are never built
