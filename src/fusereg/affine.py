@@ -19,9 +19,7 @@ from .grid import (
     DisplacementField,
     GridGeometry,
     ScalarImage,
-    _check_normalized,
     _pixel_grid,
-    _require_same_shape,
     build_pyramid,
     fill_nodata,
     warp_with_jacobian,
@@ -30,6 +28,7 @@ from .nonparametric import (
     IterationRecord,
     LevelTrace,
     RegistrationConfig,
+    _check_pair,
     _coarse_to_fine,
     _distance,
     _level_reference,
@@ -169,9 +168,7 @@ def register_affine(
     the regularity constraint).
     """
     cfg = config if config.measure == measure else replace(config, measure=measure)
-    _require_same_shape(template.geometry, reference.geometry, "register_affine")
-    _check_normalized(template, "template")
-    _check_normalized(reference, "reference")
+    _check_pair(template, reference, "register_affine")
 
     def solve_level(level, t_l, r_l, state):
         # gap-free template + clamped sampling keep the distance continuous

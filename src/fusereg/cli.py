@@ -33,7 +33,7 @@ from .errors import (
     FuseRegError,
     ParameterError,
 )
-from .evaluation import mean_abs_difference, checkerboard, difference_map
+from .evaluation import checkerboard, difference_map, mean_abs_difference, registration_summary
 from .grid import (
     displacement_to_geometry,
     normalize_intensity,
@@ -166,21 +166,12 @@ def cmd_register(args):
             fh.write(params.to_text() + "\n")
     else:
         u, trace = register_multilevel(template, reference, cfg)
-    registered = warp(template, u)
+    registered, summary = registration_summary(template, reference, u, trace)
     raster_io.write_field(outputs["field"], u)
     raster_io.write_image(outputs["registered"], registered)
     with open(outputs["trace"], "w", encoding="ascii") as fh:
         fh.write(trace.to_text())
-    shared = registered.valid_mask & template.valid_mask & reference.valid_mask
-    metrics = {
-        "method": args.method,
-        "measure": cfg.measure,
-        "final_objective": trace.levels[-1].records[-1].objective,
-        "iterations": trace.total_iterations(),
-        "converged": trace.levels[-1].converged,
-        "mad_registered": mean_abs_difference(registered, reference, shared),
-        "mad_unregistered": mean_abs_difference(template, reference, shared),
-    }
+    metrics = dict(summary, method=args.method, measure=cfg.measure)
     _write_json(outputs["metrics"], metrics)
     log.info(
         "registered %s onto %s: %d iterations, MAD %.4g -> %.4g",

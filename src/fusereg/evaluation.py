@@ -11,6 +11,8 @@ endpoint errors measure the solver, not the harness.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -30,6 +32,7 @@ from .grid import (
 from .nonparametric import RegistrationConfig, register_multilevel
 
 DEFORMATION_KINDS = ("gaussian-bump", "sinusoid", "affine")
+INVERSE_ITERATIONS = 60  # fixed-point sweeps of SyntheticDeformation.inverse
 
 
 def synthetic_texture(geometry: GridGeometry, seed: int, smoothness: float = 3.0) -> ScalarImage:
@@ -69,10 +72,14 @@ class SyntheticDeformation:
         else:
             if self.amplitude <= 0:
                 raise ParameterError("amplitude must be positive")
-            norm = float(np.hypot(*self.direction))
+            d = self.direction
+            if not (isinstance(d, (tuple, list, np.ndarray)) and len(d) == 2 and all(
+                    isinstance(c, numbers.Real) and math.isfinite(c) for c in d)):
+                raise ParameterError("direction must be two finite numbers")
+            norm = float(np.hypot(*d))
             if norm < 1e-12:
                 raise ParameterError("direction must be nonzero")
-            self.direction = (self.direction[0] / norm, self.direction[1] / norm)
+            self.direction = (d[0] / norm, d[1] / norm)
         if self.kind == "gaussian-bump" and self.sigma <= 0:
             raise ParameterError("sigma must be positive")
         if self.kind == "sinusoid" and self.wavelength <= 0:
@@ -109,7 +116,7 @@ class SyntheticDeformation:
         ux, uy = self.evaluate(xs, ys, geometry)
         return DisplacementField(geometry, ux, uy)
 
-    def inverse(self, geometry: GridGeometry, iterations: int = 60) -> DisplacementField:
+    def inverse(self, geometry: GridGeometry) -> DisplacementField:
         """Exact field u* with warp(warp(R, u_d), u*) == R.
 
         Solves u*(x) = -u_d(z), z = x + u_d(z) by fixed point (closed form
@@ -124,7 +131,7 @@ class SyntheticDeformation:
             return DisplacementField(geometry, xs - zx, ys - zy)
         zx = xs.copy()
         zy = ys.copy()
-        for _ in range(iterations):
+        for _ in range(INVERSE_ITERATIONS):
             ux, uy = self.evaluate(zx, zy, geometry)
             zx = xs + ux
             zy = ys + uy
@@ -182,6 +189,22 @@ def mean_abs_difference(a: ScalarImage, b: ScalarImage, mask: np.ndarray | None 
     if not m.any():
         raise ParameterError("no valid pixels to compare")
     return float(np.mean(np.abs(a.values[m] - b.values[m])))
+
+
+def registration_summary(template, reference, u, trace):
+    """The registered template and the run summary that ``fusereg register``'s
+    metrics file and :class:`MetricReport` share; the mean absolute differences
+    cover the pixels valid in all three images."""
+    registered = warp(template, u)
+    shared = registered.valid_mask & template.valid_mask & reference.valid_mask
+    finest = trace.levels[-1]
+    return registered, {
+        "final_objective": finest.records[-1].objective,
+        "iterations": trace.total_iterations(),
+        "converged": finest.converged,
+        "mad_registered": mean_abs_difference(registered, reference, shared),
+        "mad_unregistered": mean_abs_difference(template, reference, shared),
+    }
 
 
 def difference_map(a: ScalarImage, b: ScalarImage) -> ScalarImage:
@@ -283,9 +306,7 @@ def run_experiment(scenario: ExperimentScenario):
     u_d = scenario.deformation.realized(geometry)
     template = warp(reference, u_d)
     u_true = scenario.deformation.inverse(geometry)
-    report = MetricReport(
-        name=scenario.name, method=scenario.method, measure=scenario.measure
-    )
+    report = MetricReport(name=scenario.name, method=scenario.method, measure=scenario.measure)
     cfg = scenario.config
     if cfg.measure != scenario.measure:
         cfg = replace(cfg, measure=scenario.measure)
@@ -306,18 +327,10 @@ def run_experiment(scenario: ExperimentScenario):
             "truth": u_true,
         }
     report.wall_time = time.perf_counter() - t0
-    registered = warp(template, u_est)
-    shared = registered.valid_mask & template.valid_mask & reference.valid_mask
+    registered, summary = registration_summary(template, reference, u_est, trace)
     epe, err_map = endpoint_error(u_est, u_true)
-    report.epe_mean = epe.mean
-    report.epe_median = epe.median
-    report.epe_p95 = epe.p95
-    report.epe_max = epe.max
-    report.mad_registered = mean_abs_difference(registered, reference, shared)
-    report.mad_unregistered = mean_abs_difference(template, reference, shared)
-    report.final_objective = trace.levels[-1].records[-1].objective
-    report.iterations = trace.total_iterations()
-    report.converged = trace.levels[-1].converged
+    report = replace(report, epe_mean=epe.mean, epe_median=epe.median, epe_p95=epe.p95,
+                     epe_max=epe.max, **summary)
     artifacts = {
         "reference": reference,
         "template": template,

@@ -176,6 +176,12 @@ class DisplacementField:
         return float(np.sqrt(np.max(self.u_x * self.u_x + self.u_y * self.u_y)))
 
 
+def _check_count(value, name: str):
+    """Reject anything but an integer >= 1 (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError("%s must be an integer >= 1" % name)
+
+
 def _require_same_shape(a: GridGeometry, b: GridGeometry, what: str):
     if a.shape != b.shape:
         raise GeometryError(
@@ -433,8 +439,7 @@ def build_pyramid(image: ScalarImage, max_levels: int = 8) -> list[ScalarImage]:
 
     Returns the levels finest first.
     """
-    if max_levels < 1:
-        raise ParameterError("max_levels must be >= 1")
+    _check_count(max_levels, "max_levels")
     levels = [image]
     while len(levels) < max_levels:
         g = levels[-1].geometry

@@ -28,6 +28,7 @@ from .curvature import bilaplacian, curvature_energy, neumann_solve
 from .errors import DivergenceError, ParameterError
 from .grid import (
     DisplacementField,
+    _check_count,
     _check_normalized,
     _require_same_shape,
     build_pyramid,
@@ -42,6 +43,9 @@ from .optimize import armijo_backtrack, descend, minimize_lbfgs
 log = logging.getLogger(__name__)
 
 SOLVERS = ("semi-implicit", "l-bfgs", "gauss-newton", "trust-region")
+TRUST_RADIUS = 2.0  # trust-region step cap, pixels per component
+CG_MAX_ITERS = 100
+CG_REL_TOL = 0.1
 
 
 @dataclass
@@ -64,7 +68,6 @@ class RegistrationConfig:
     rel_tolerance: float = 1e-6
     mi_bins: int = 64
     mi_parzen_sigma: float = 1.0
-    trust_radius: float = 2.0
 
     def __post_init__(self):
         if self.measure not in similarity.MEASURES:
@@ -76,16 +79,14 @@ class RegistrationConfig:
             raise ParameterError("mi_parzen_sigma must be positive to register with MI")
         if self.solver not in SOLVERS:
             raise ParameterError("unknown solver %r" % self.solver)
-        for name in ("alpha", "eta", "dt", "trust_radius"):
+        for name in ("alpha", "eta", "dt"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ParameterError("%s must be finite and positive" % name)
         if not (0.0 < self.rel_tolerance < 1.0):
             raise ParameterError("rel_tolerance must lie in (0, 1)")
         for name in ("max_levels", "max_iters_per_level"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ParameterError("%s must be an integer >= 1" % name)
+            _check_count(getattr(self, name), name)
 
 
 @dataclass
@@ -122,22 +123,11 @@ class LevelTrace:
         for r in self.records:
             out.append(
                 "level=%d size=%dx%d solver=%s iter=%d J=%.12e D=%.12e S=%.12e step=%.6e"
-                % (
-                    self.level,
-                    self.width,
-                    self.height,
-                    self.solver,
-                    r.iteration,
-                    r.objective,
-                    r.distance,
-                    r.regularizer,
-                    r.step_norm,
-                )
+                % (self.level, self.width, self.height, self.solver, r.iteration,
+                   r.objective, r.distance, r.regularizer, r.step_norm)
             )
-        out.append(
-            "level=%d converged=%s iterations=%d"
-            % (self.level, str(self.converged).lower(), self.iterations)
-        )
+        out.append("level=%d converged=%s iterations=%d"
+                   % (self.level, str(self.converged).lower(), self.iterations))
         return out
 
 
@@ -158,27 +148,27 @@ class RegistrationTrace:
         return "\n".join(self.to_lines()) + "\n"
 
 
+def _check_pair(template, reference, what):
+    """The input contract of every registration entry point: one grid and
+    valid intensities in [0, 1] (see :func:`fusereg.grid.normalize_intensity`)."""
+    _require_same_shape(template.geometry, reference.geometry, what)
+    _check_normalized(template, "template")
+    _check_normalized(reference, "reference")
+
+
+def _measure_parameters(config):
+    """The configured measure's parameters, as :mod:`similarity` takes them."""
+    return dict(eta=config.eta, mi_bins=config.mi_bins, mi_parzen_sigma=config.mi_parzen_sigma)
+
+
 def _level_reference(reference, config):
     """The reference with what the configured measure needs of it, built
     once per level for :func:`_distance`."""
-    return similarity.level_reference(
-        reference,
-        config.measure,
-        eta=config.eta,
-        mi_bins=config.mi_bins,
-        mi_parzen_sigma=config.mi_parzen_sigma,
-    )
+    return similarity.level_reference(reference, config.measure, **_measure_parameters(config))
 
 
 def _distance(warped, reference, config):
-    return similarity.evaluate(
-        config.measure,
-        warped,
-        reference,
-        eta=config.eta,
-        mi_bins=config.mi_bins,
-        mi_parzen_sigma=config.mi_parzen_sigma,
-    )
+    return similarity.evaluate(config.measure, warped, reference, **_measure_parameters(config))
 
 
 def _objective_full(u, template, reference, config):
@@ -201,11 +191,10 @@ def _objective_full(u, template, reference, config):
 
 
 def objective(u, template, reference, config):
-    """J(u) and dJ/du for normalized images on a common grid."""
+    """J(u) and dJ/du for normalized images on a common grid, as the solvers see it."""
+    _check_pair(template, reference, "objective")
     _require_same_shape(template.geometry, u.geometry, "objective")
-    _require_same_shape(reference.geometry, u.geometry, "objective")
-    _check_normalized(template, "template")
-    _check_normalized(reference, "reference")
+    reference = _level_reference(reference, config)
     j, _, _, grad, _ = _objective_full(u, fill_nodata(template), reference, config)
     return j, DisplacementField(u.geometry, grad[0], grad[1])
 
@@ -216,12 +205,12 @@ def _step_norm(x_new, x_old) -> float:
     return float(np.max(np.sqrt(d[0] ** 2 + d[1] ** 2)))
 
 
-def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=0.1):
+def _conjugate_gradient(apply_h, rhs, precondition):
     """Preconditioned CG from x = 0 on a symmetric positive definite
-    operator; stops once the residual norm falls below ``rel_tol`` times
-    that of ``rhs``.  The default 10% truncates the solve (inexact Newton:
-    Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996); every iterate
-    has x . rhs = x . H x > 0, a descent direction for the gradient -rhs."""
+    operator; stops at a residual norm ``CG_REL_TOL`` times that of ``rhs``
+    (the 10% truncates the solve, inexact Newton: Eisenstat & Walker, SIAM
+    J. Sci. Comput. 17(1), 1996) or after ``CG_MAX_ITERS`` steps; every
+    iterate has x . rhs = x . H x > 0, a descent direction for -rhs."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     r0 = np.sqrt(float(np.sum(r * r)))
@@ -230,7 +219,7 @@ def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=0.1):
     z = precondition(r)
     p = z
     rz = float(np.sum(r * z))
-    for _ in range(max_iters):
+    for _ in range(CG_MAX_ITERS):
         hp = apply_h(p)
         php = float(np.sum(p * hp))
         if php <= 0.0:
@@ -238,7 +227,7 @@ def _conjugate_gradient(apply_h, rhs, precondition, max_iters=100, rel_tol=0.1):
         a = rz / php
         x += a * p
         r -= a * hp
-        if np.sqrt(float(np.sum(r * r))) <= rel_tol * r0:
+        if np.sqrt(float(np.sum(r * r))) <= CG_REL_TOL * r0:
             break
         z = precondition(r)
         rz_new = float(np.sum(r * z))
@@ -371,7 +360,7 @@ def register_level(template, reference, u0, config, level=0):
     decrease stops there.  Only a non-finite J at ``u0`` raises
     :class:`DivergenceError`, with the partial trace attached.
     """
-    _require_same_shape(template.geometry, reference.geometry, "register_level")
+    _check_pair(template, reference, "register_level")
     _require_same_shape(template.geometry, u0.geometry, "register_level")
     template = fill_nodata(template)
     reference = _level_reference(reference, config)
@@ -416,7 +405,7 @@ def register_level(template, reference, u0, config, level=0):
         def h0_solve(v):
             return neumann_solve(v, config.alpha)
 
-        cap = config.trust_radius if config.solver == "trust-region" else None
+        cap = TRUST_RADIUS if config.solver == "trust-region" else None
         return minimize_lbfgs(fun_grad, x0, step_cap=cap, h0_solve=h0_solve, **limits)
 
     name = "level %d (%dx%d, %s)" % (level, geometry.width, geometry.height, config.solver)
@@ -430,9 +419,7 @@ def register_multilevel(template, reference, config):
     Both images must share a grid and be normalized to [0, 1].  Returns the
     displacement field on the finest grid and the full trace.
     """
-    _require_same_shape(template.geometry, reference.geometry, "register_multilevel")
-    _check_normalized(template, "template")
-    _check_normalized(reference, "reference")
+    _check_pair(template, reference, "register_multilevel")
 
     def solve_level(level, t_l, r_l, u):
         u = DisplacementField.zero(t_l.geometry) if u is None else prolong(u, t_l.geometry)

@@ -19,6 +19,7 @@ from .errors import DivergenceError, FuseRegError
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 30
+LBFGS_MEMORY = 10  # curvature pairs kept
 
 
 @dataclass
@@ -135,7 +136,7 @@ def descend(fun, x0, step, *, max_iters, rel_tolerance, callback=None) -> Minimi
     return MinimizeResult(x=x, fun=f, iterations=iterations, converged=converged, n_evals=n_evals)
 
 
-def _lbfgs_step(memory, step_cap, h0_solve):
+def _lbfgs_step(step_cap, h0_solve):
     """The l-BFGS step rule for :func:`descend`; ``rest`` is the gradient."""
     pairs: list = []
     h0_g_prev = None
@@ -174,7 +175,7 @@ def _lbfgs_step(memory, step_cap, h0_solve):
         sy = _dot(s, y)
         if sy > 1e-12 * float(np.sqrt(_dot(s, s) * _dot(y, y)) + 1e-300):
             pairs.append((s, y, 1.0 / sy, None))
-            if len(pairs) > memory:
+            if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
         h0_g_prev = h0_g
         return x_new, f_new, g_new, float(np.max(np.abs(s)))
@@ -188,7 +189,6 @@ def minimize_lbfgs(
     *,
     max_iters: int = 200,
     rel_tolerance: float = 1e-6,
-    memory: int = 10,
     step_cap: float | None = None,
     h0_solve=None,
     callback=None,
@@ -208,7 +208,7 @@ def minimize_lbfgs(
     return descend(
         fun_grad,
         np.array(x0, dtype=np.float64),
-        _lbfgs_step(memory, step_cap, h0_solve),
+        _lbfgs_step(step_cap, h0_solve),
         max_iters=max_iters,
         rel_tolerance=rel_tolerance,
         callback=callback,

@@ -42,12 +42,11 @@ def write_raster(
     bands,
     wavelengths=None,
     nodata_mask=None,
-    nodata_value: float = DEFAULT_NODATA,
 ):
     """Write one or more bands sharing a grid.
 
     ``bands`` is a sequence of (height, width) arrays.  ``nodata_mask`` (one
-    shared boolean array) marks pixels stored as the sentinel value.
+    shared boolean array) marks pixels stored as ``DEFAULT_NODATA``.
     """
     path = str(path)
     bands = [np.asarray(b, dtype=np.float64) for b in bands]
@@ -70,7 +69,7 @@ def write_raster(
         "origin_northing = %r" % geometry.origin_northing,
     ]
     if nodata_mask is not None and np.asarray(nodata_mask).any():
-        lines.append("nodata = %r" % float(nodata_value))
+        lines.append("nodata = %r" % DEFAULT_NODATA)
     if wavelengths is not None:
         lines.append("wavelengths = " + ", ".join("%r" % float(wl) for wl in wavelengths))
     with open(_header_path(path), "w", encoding="ascii") as fh:
@@ -78,7 +77,7 @@ def write_raster(
     payload = np.stack(bands)
     if nodata_mask is not None:
         mask = np.asarray(nodata_mask, dtype=bool)
-        payload = np.where(mask[None, :, :], float(nodata_value), payload)
+        payload = np.where(mask[None, :, :], DEFAULT_NODATA, payload)
     with open(path, "wb") as fh:
         fh.write(payload.astype("<f4").tobytes())
 
@@ -193,12 +192,15 @@ def read_field(path) -> DisplacementField:
 
 
 def write_pgm(path, values: np.ndarray, bits: int = 8):
-    """Binary PGM (P5) of values in [0, 1]; out-of-range values are clipped."""
+    """Binary PGM (P5) of values in [0, 1]; out-of-range values are
+    clipped, NaN is refused."""
     if bits not in (8, 16):
         raise FormatError("PGM depth must be 8 or 16 bits")
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise FormatError("PGM expects a 2-D array")
+    if np.isnan(arr).any():
+        raise FormatError("PGM values must not be NaN")
     maxval = (1 << bits) - 1
     q = np.clip(np.rint(np.clip(arr, 0.0, 1.0) * maxval), 0, maxval)
     header = "P5\n%d %d\n%d\n" % (arr.shape[1], arr.shape[0], maxval)

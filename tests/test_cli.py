@@ -6,10 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from fusereg import cli
 from fusereg.affine import AffineParams, affine_to_displacement
 from fusereg.cli import main
 from fusereg.errors import FormatError
-from fusereg.evaluation import synthetic_texture
+from fusereg.evaluation import (
+    ExperimentScenario,
+    SyntheticDeformation,
+    run_experiment,
+    synthetic_texture,
+)
 from fusereg.grid import GridGeometry, ScalarImage, warp
 from fusereg.nonparametric import RegistrationConfig
 from fusereg.raster_io import read_field, read_image, read_raster, write_image
@@ -126,6 +132,33 @@ def test_register_nonparametric_outputs(tmp_path):
     assert manifest["config"]["method"] == "np"
     for f in dataclasses.fields(RegistrationConfig):
         assert f.name in manifest["config"], f.name
+
+
+def test_register_metrics_match_the_experiment_report(tmp_path, monkeypatch):
+    # one synthetic pair, registered through `fusereg register` and through
+    # run_experiment, gives the same five summary values
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, max_levels=2, max_iters_per_level=30)
+    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=2.0, sigma=8.0)
+    report, artifacts = run_experiment(
+        ExperimentScenario("bump", 64, 64, seed=3, deformation=bump, measure="SSD", config=cfg)
+    )
+    assert not report.failed
+    # the rasters store float32 and the CLI normalizes what it reads, so
+    # hand it the experiment's own pair
+    pair = (artifacts["reference"], artifacts["template"])
+    monkeypatch.setattr(cli, "_load_pair", lambda ref_path, tpl_path: pair)
+    out = tmp_path / "reg"
+    rc = run(
+        "register", "--ref", "ref.raster", "--tpl", "tpl.raster", "--out", out,
+        "--measure", "SSD", "--alpha", "1.0", "--levels", "2", "--max-iters", "30",
+    )
+    assert rc == 0
+    metrics = json.loads((tmp_path / "reg.metrics.json").read_text())
+    for key in ("final_objective", "iterations", "converged", "mad_registered",
+                "mad_unregistered"):
+        assert metrics[key] == getattr(report, key), key
+    assert report.iterations > 0
+    assert report.mad_registered < report.mad_unregistered
 
 
 def test_register_affine_outputs(tmp_path):

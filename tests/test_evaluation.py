@@ -84,6 +84,21 @@ def test_sinusoid_centre_norm_equals_amplitude():
     assert math.hypot(u.u_x[32, 32], u.u_y[32, 32]) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("direction", (
+    (1.0, 2.0, 3.0),
+    (1.0,),
+    (float("nan"), 1.0),
+    (0.0, float("inf")),
+    ("1", 0.0),
+    (None, 1.0),
+    1.0,
+    np.eye(2),
+))
+def test_direction_must_be_two_finite_numbers(direction):
+    with pytest.raises(ParameterError, match="two finite numbers"):
+        SyntheticDeformation(kind="gaussian-bump", amplitude=1.0, direction=direction)
+
+
 def test_direction_is_normalized():
     d = SyntheticDeformation(kind="gaussian-bump", amplitude=1.0, direction=(3.0, 4.0))
     assert d.direction == (0.6, 0.8)

@@ -430,6 +430,18 @@ def test_build_pyramid_rejects_bad_levels(geom16):
         build_pyramid(ScalarImage(geom16, np.zeros(geom16.shape)), max_levels=0)
 
 
+@pytest.mark.parametrize("levels", (2.5, 2.0, float("nan"), True, "2"))
+def test_build_pyramid_rejects_non_integer_levels(geom16, levels):
+    with pytest.raises(ParameterError):
+        build_pyramid(ScalarImage(geom16, np.zeros(geom16.shape)), max_levels=levels)
+
+
+def test_build_pyramid_takes_numpy_integer_levels():
+    g = GridGeometry(256, 256)
+    pyr = build_pyramid(ScalarImage(g, np.zeros(g.shape)), max_levels=np.int64(2))
+    assert len(pyr) == 2
+
+
 def test_prolong_constant_field_doubles():
     fine = GridGeometry(64, 64)
     coarse = fine.coarsened()

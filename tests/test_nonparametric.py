@@ -49,15 +49,12 @@ def test_config_rejects_unknown_names():
     ("alpha", 0.0),
     ("eta", -1.0),
     ("dt", 0.0),
-    ("trust_radius", -2.0),
     ("alpha", float("nan")),
     ("alpha", float("inf")),
     ("eta", float("nan")),
     ("eta", float("inf")),
     ("dt", float("nan")),
     ("dt", float("inf")),
-    ("trust_radius", float("nan")),
-    ("trust_radius", float("inf")),
     ("rel_tolerance", 0.0),
     ("rel_tolerance", 1.5),
     ("max_levels", 0),
@@ -90,7 +87,7 @@ def test_config_rejects_bad_values(field, value):
 def test_objective_at_zero_is_plain_distance(texture64):
     r = texture64.with_values(np.roll(texture64.values, 1, axis=0))
     u = DisplacementField.zero(texture64.geometry)
-    for measure in ("SSD", "NGF"):
+    for measure in ("SSD", "NCC", "MI", "NGF"):
         cfg = RegistrationConfig(measure=measure, alpha=1.0, eta=0.02)
         j, _ = objective(u, texture64, r, cfg)
         want = evaluate(measure, texture64, r, eta=0.02).value
@@ -126,6 +123,27 @@ def test_objective_gradient_matches_fd(measure, rng):
     fd = (objective(up, t, r, cfg)[0] - objective(dn, t, r, cfg)[0]) / (2 * h)
     got = float(np.dot(grad.as_vector(), d))
     assert got == pytest.approx(fd, rel=1e-4)
+
+
+@pytest.mark.parametrize("measure", ("SSD", "NCC", "MI", "NGF"))
+def test_register_level_refuses_unnormalized_pair(measure, texture64, monkeypatch):
+    # the one input contract of every entry point, checked before the
+    # level evaluates anything
+    evaluations = []
+    distance = nonparametric._distance
+
+    def counted(*args):
+        evaluations.append(args)
+        return distance(*args)
+
+    monkeypatch.setattr(nonparametric, "_distance", counted)
+    hot = texture64.with_values(texture64.values * 3.0)
+    u0 = DisplacementField.zero(texture64.geometry)
+    cfg = RegistrationConfig(measure=measure, max_iters_per_level=5)
+    for template, reference in ((hot, texture64), (texture64, hot)):
+        with pytest.raises(IntensityRangeError):
+            register_level(template, reference, u0, cfg)
+    assert evaluations == []
 
 
 def test_objective_validates_inputs(texture64):

@@ -183,6 +183,14 @@ def test_pgm_roundtrip_16bit(tmp_path, rng):
     np.testing.assert_allclose(back, vals, atol=0.5 / 65535 + 1e-12)
 
 
+@pytest.mark.parametrize("bits", (8, 16))
+def test_pgm_refuses_nan(tmp_path, bits):
+    p = tmp_path / "nan.pgm"
+    with pytest.raises(FormatError, match="NaN"):
+        write_pgm(p, np.array([[0.5, float("nan")]]), bits=bits)
+    assert not p.exists()
+
+
 def test_pgm_clips_out_of_range(tmp_path):
     p = tmp_path / "clip.pgm"
     write_pgm(p, np.array([[-1.0, 2.0]]))
