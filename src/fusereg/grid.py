@@ -215,23 +215,21 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     w10 = fx * (1.0 - fy)
     w01 = (1.0 - fx) * fy
     w11 = fx * fy
-    v00 = values[..., y0, x0]
-    v10 = values[..., y0, x0 + 1]
-    v01 = values[..., y0 + 1, x0]
-    v11 = values[..., y0 + 1, x0 + 1]
+    # the corners at flat positions k, k + 1, k + w, k + w + 1: ``take`` on
+    # the raveled grid gathers what 2-D fancy indexing would, several
+    # times faster
+    k = y0 * w + x0
+    corners = (k, k + 1, k + w, k + w + 1)
+    flat = values.reshape(values.shape[:-2] + (h * w,))
+    v00, v10, v01, v11 = (np.take(flat, c, axis=-1) for c in corners)
     v = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
     if edge_clamp:
         bad = np.zeros(np.shape(xs), dtype=bool)
     else:
         bad = (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
     if mask is not None:
-        m = mask.astype(np.float64)
-        touched = (
-            w00 * m[y0, x0]
-            + w10 * m[y0, x0 + 1]
-            + w01 * m[y0 + 1, x0]
-            + w11 * m[y0 + 1, x0 + 1]
-        )
+        m00, m10, m01, m11 = (np.take(mask.ravel(), c).astype(np.float64) for c in corners)
+        touched = w00 * m00 + w10 * m10 + w01 * m01 + w11 * m11
         bad = bad | (touched > 0.0)
     return v, bad, (fx, fy, v00, v10, v01, v11)
 

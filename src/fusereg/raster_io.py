@@ -59,6 +59,15 @@ def write_raster(
             )
     if wavelengths is not None and len(wavelengths) != len(bands):
         raise FormatError("wavelength count does not match band count")
+    payload = np.stack(bands)
+    # NaN fails this test too; larger values would be stored as inf
+    stored = (np.abs(payload) <= np.finfo(np.float32).max).all(axis=0)
+    if nodata_mask is not None:
+        mask = np.asarray(nodata_mask, dtype=bool)
+        stored |= mask
+        payload = np.where(mask[None, :, :], DEFAULT_NODATA, payload)
+    if not stored.all():
+        raise FormatError("%s: samples outside the nodata mask must be finite float32 values" % path)
     lines = [
         "width = %d" % geometry.width,
         "height = %d" % geometry.height,
@@ -68,16 +77,12 @@ def write_raster(
         "origin_easting = %r" % geometry.origin_easting,
         "origin_northing = %r" % geometry.origin_northing,
     ]
-    if nodata_mask is not None and np.asarray(nodata_mask).any():
+    if nodata_mask is not None and mask.any():
         lines.append("nodata = %r" % DEFAULT_NODATA)
     if wavelengths is not None:
         lines.append("wavelengths = " + ", ".join("%r" % float(wl) for wl in wavelengths))
     with open(_header_path(path), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    payload = np.stack(bands)
-    if nodata_mask is not None:
-        mask = np.asarray(nodata_mask, dtype=bool)
-        payload = np.where(mask[None, :, :], DEFAULT_NODATA, payload)
     with open(path, "wb") as fh:
         fh.write(payload.astype("<f4").tobytes())
 
@@ -158,6 +163,8 @@ def read_raster(path):
         mask = (data == sentinel).any(axis=0)
         if not mask.any():
             mask = None
+    if not np.isfinite(data[:, ~mask] if mask is not None else data).all():
+        raise FormatError("%s: payload holds non-finite samples outside the nodata mask" % path)
     bands = [data[i] for i in range(nbands)]
     return geometry, bands, fields.get("wavelengths"), mask
 

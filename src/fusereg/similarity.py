@@ -127,17 +127,35 @@ def _parzen_weights(c: np.ndarray, bins: int, sigma: float):
     truncation radius or outside the histogram carry zero weight.
     """
     radius = _parzen_radius(sigma, bins)
+    taps = 2 * radius + 1
     base = np.ceil(c - radius)
-    offsets = np.arange(2 * radius + 1, dtype=np.float64)
-    j = base[None, :] + offsets[:, None]
-    dist = j - c[None, :]
-    inside = (np.abs(dist) <= radius) & (j >= 0) & (j <= bins - 1)
-    w = np.where(inside, np.exp(-0.5 * (dist / sigma) ** 2), 0.0)
-    total = np.sum(w, axis=0)
-    w_hat = w / total[None, :]
-    mu = np.sum(w_hat * dist, axis=0)
-    dw_hat = w_hat * (dist - mu[None, :]) / sigma**2
-    return base.astype(np.int64) + radius, w_hat, dw_hat
+    # the tap distances j - c: base - c lies in [-R, -R + 1), so adding the
+    # integer offsets rounds nothing
+    dist = (base - c) + np.arange(taps, dtype=np.float64)[:, None]
+    w = np.square(dist)
+    w *= -0.5 / sigma**2
+    np.exp(w, out=w)
+    # of all taps only the last, at [R, R + 1), can lie beyond the radius
+    np.copyto(w[-1], 0.0, where=dist[-1] > radius)
+    if base.min() < 0 or base.max() > bins - taps:
+        # taps outside the histogram, of pixels within R bins of either end
+        edge = np.flatnonzero((base < 0) | (base > bins - taps))
+        j = base[edge] + np.arange(taps)[:, None]
+        w[:, edge] *= (j >= 0) & (j <= bins - 1)
+    w /= np.add.reduce(w, axis=0)
+    mu = np.einsum("ij,ij->j", w, dist)
+    dist -= mu
+    dist *= w
+    dist *= 1.0 / sigma**2
+    return base.astype(np.int64) + radius, w, dist
+
+
+def _windows(block: np.ndarray, taps: int) -> np.ndarray:
+    """A view of C-contiguous ``block`` whose row p is the run of ``taps``
+    entries from flat position p: for a (rows, cols) block, row
+    ``cols * k + s`` is the window at columns s:s + taps of row k."""
+    step = block.itemsize
+    return np.ndarray((block.size - taps + 1, taps), block.dtype, block, 0, (step, step))
 
 
 @dataclass(frozen=True)
@@ -146,26 +164,27 @@ class ParzenBand:
     pyramid level.
 
     Pixels are sorted by their first bin, so a chunk of consecutive pixels
-    touches only a few bins: entry k is pixel ``order[k]`` of
-    ``values[mask]``.  Per chunk of MI_CHUNK entries, ``chunks`` holds
-    ``(lo, hi, first, block)``: the windows of entries lo:hi (see
+    touches only a few bins: entry k is the pixel at flat position
+    ``index[k]`` of the image.  Per chunk of MI_CHUNK entries, ``chunks``
+    holds ``(lo, hi, first, block)``: the windows of entries lo:hi (see
     :func:`_parzen_weights`) scattered into a dense, read-only
     (pixels x bins) block over padded columns ``first:first + block.shape[1]``.
     """
 
     bins: int
     sigma: float
-    order: np.ndarray
+    index: np.ndarray
     chunks: tuple
 
     @classmethod
     def build(cls, image: ScalarImage, mask: np.ndarray, bins: int, sigma: float):
-        r = _bin_coordinates(image.values[mask], bins)
+        index = np.flatnonzero(mask)
+        r = _bin_coordinates(image.values.ravel()[index], bins)
         radius = _parzen_radius(sigma, bins)
         order = np.argsort(np.ceil(r - radius), kind="stable")
-        r = r[order]
+        index, r = index[order], r[order]
+        index.flags.writeable = False
         taps = 2 * radius + 1
-        offsets = np.arange(taps)[:, None]
         chunks = []
         for lo in range(0, r.size, MI_CHUNK):
             start, weights, _ = _parzen_weights(r[lo : lo + MI_CHUNK], bins, sigma)
@@ -173,21 +192,22 @@ class ParzenBand:
             first = int(start[0])
             cols = int(start[-1]) - first + taps
             block = np.zeros((rows, cols))
-            block.ravel()[offsets + (cols * np.arange(rows) + start - first)] = weights
+            _windows(block, taps)[cols * np.arange(rows) + (start - first)] = weights.T
             block.flags.writeable = False
             chunks.append((lo, lo + rows, first, block))
-        return cls(bins, sigma, order, tuple(chunks))
+        return cls(bins, sigma, index, tuple(chunks))
 
 
 def _band_mi(t: np.ndarray, band: ParzenBand):
     """-MI of template bin coordinates ``t`` (in ``band`` order) against the
     reference band, and its derivative with respect to ``t``.
 
-    Per chunk, the template windows are scattered into a dense block T and
-    the joint histogram gathers T^T R.  With L the log-ratio of the joint
-    to its marginals, the derivative is the template window derivative
-    contracted with G = R L^T at the template's bins; the terms of the
-    marginals cancel because every window sums to 1.
+    Per chunk, the template windows are scattered into a dense block T,
+    only as wide as the chunk's template bins span, and the joint
+    histogram gathers T^T R.  With L the log-ratio of the joint to its
+    marginals, the derivative is the template window derivative contracted
+    with G = R L^T at the template's bins; the terms of the marginals
+    cancel because every window sums to 1.
     """
     bins, sigma = band.bins, band.sigma
     radius = _parzen_radius(sigma, bins)
@@ -195,18 +215,19 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     width = bins + 2 * radius
     inner = slice(radius, radius + bins)
     n = t.size
-    lanes = np.arange(taps)[:, None] + width * np.arange(MI_CHUNK)
-    t_start = np.empty(n, dtype=np.int64)
-    t_dw = np.empty((taps, n))
-    scratch = np.empty((MI_CHUNK, width))  # T per chunk, then G per chunk
+    t_chunks = []  # per chunk: T's first column and width, window slots, window derivative
+    scratch = np.empty(MI_CHUNK * width)  # T per chunk, then G per chunk
     joint = np.zeros((width, width))
     for lo, hi, first, r_block in band.chunks:
-        rows = hi - lo
-        t_start[lo:hi], w, t_dw[:, lo:hi] = _parzen_weights(t[lo:hi], bins, sigma)
-        t_rows = scratch[:rows]
+        start, w, dw = _parzen_weights(t[lo:hi], bins, sigma)
+        t_first = int(start.min())
+        span = int(start.max()) - t_first + taps
+        t_rows = scratch[: (hi - lo) * span].reshape(hi - lo, span)
         t_rows.fill(0.0)
-        t_rows.ravel()[lanes[:, :rows] + t_start[lo:hi]] = w
-        joint[:, first : first + r_block.shape[1]] += t_rows.T @ r_block
+        slots = span * np.arange(hi - lo) + (start - t_first)  # see _windows
+        _windows(t_rows, taps)[slots] = w.T
+        joint[t_first : t_first + span, first : first + r_block.shape[1]] += t_rows.T @ r_block
+        t_chunks.append((t_first, span, slots, dw))
 
     joint = joint[inner, inner] / n
     p_t = joint.sum(axis=1)
@@ -218,12 +239,11 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     value = -float(np.sum(joint[pos] * inner_ratio[pos]))
 
     grad = np.empty(n)
-    for lo, hi, first, r_block in band.chunks:
-        rows = hi - lo
-        g = scratch[:rows]
-        np.matmul(r_block, log_ratio[:, first : first + r_block.shape[1]].T, out=g)
-        picked = g.ravel()[lanes[:, :rows] + t_start[lo:hi]]
-        grad[lo:hi] = np.sum(t_dw[:, lo:hi] * picked, axis=0)
+    for (lo, hi, first, r_block), (t_first, span, slots, dw) in zip(band.chunks, t_chunks):
+        g = scratch[: (hi - lo) * span].reshape(hi - lo, span)
+        ratio = log_ratio[t_first : t_first + span, first : first + r_block.shape[1]]
+        np.matmul(r_block, ratio.T, out=g)
+        grad[lo:hi] = np.einsum("ij,ji->j", dw, _windows(g, taps)[slots])
     grad *= -(bins - 1) / n
     return value, grad
 
@@ -247,34 +267,33 @@ def mi(
 
 def _mi(template_w, reference, bins, parzen_sigma, band):
     """:func:`mi`, optionally with the band of the reference's valid pixels
-    built beforehand; it serves while the template has no gaps, otherwise
-    the band is rebuilt over the joint mask."""
-    check_mi_parameters(bins, parzen_sigma)
-    _check_normalized(template_w, "template")
+    built beforehand by :func:`level_reference`, which also checked the
+    parameters and the reference.  The band serves while the template has
+    no gaps; otherwise it is rebuilt over the joint mask."""
     if band is None:
+        check_mi_parameters(bins, parzen_sigma)
         _check_normalized(reference, "reference")
-    m = _joint_mask(template_w, reference)
-    n = int(np.sum(m))
-    if n == 0:
-        raise DegenerateImageError("no overlapping valid pixels")
-    t = _bin_coordinates(template_w.values[m], bins)
-
-    if parzen_sigma == 0.0:
-        r = _bin_coordinates(reference.values[m], bins)
-        jt = np.rint(t).astype(np.int64)
-        jr = np.rint(r).astype(np.int64)
-        joint = np.bincount(jt * bins + jr, minlength=bins * bins).astype(np.float64)
-        joint = joint.reshape(bins, bins) / n
-        value = -_histogram_mi(joint)
-        return SimilarityResult(value, np.zeros(template_w.geometry.shape))
-
+    _check_normalized(template_w, "template")
     if band is None or template_w.nodata is not None:
+        m = _joint_mask(template_w, reference)
+        if not m.any():
+            raise DegenerateImageError("no overlapping valid pixels")
+        if parzen_sigma == 0.0:
+            jt = np.rint(_bin_coordinates(template_w.values[m], bins)).astype(np.int64)
+            jr = np.rint(_bin_coordinates(reference.values[m], bins)).astype(np.int64)
+            joint = np.bincount(jt * bins + jr, minlength=bins * bins).astype(np.float64)
+            value = -_histogram_mi(joint.reshape(bins, bins) / jt.size)
+            return SimilarityResult(value, np.zeros(template_w.geometry.shape))
         band = ParzenBand.build(reference, m, bins, parzen_sigma)
-    value, grad = _band_mi(t[band.order], band)
-    grad_valid = np.empty(n)
-    grad_valid[band.order] = grad
+    else:
+        _require_same_shape(template_w.geometry, reference.geometry, "similarity")
+        if band.index.size == 0:
+            raise DegenerateImageError("no overlapping valid pixels")
+    # one gather of the template in band order, one scatter of the derivative
+    t = _bin_coordinates(template_w.values.ravel()[band.index], bins)
+    value, grad = _band_mi(t, band)
     d_warped = np.zeros(template_w.geometry.shape)
-    d_warped[m] = grad_valid
+    d_warped.ravel()[band.index] = grad
     return SimilarityResult(value, d_warped)
 
 
@@ -366,8 +385,9 @@ def level_reference(
     mi_parzen_sigma: float = 1.0,
 ) -> LevelReference:
     """Build what ``measure`` needs of the reference before the first
-    evaluation: the Parzen band of its valid pixels for MI, the gradient
-    direction field for NGF."""
+    evaluation: for MI the checked parameters and the Parzen band of the
+    reference's valid pixels, with their flat indices in band order; for
+    NGF the gradient direction field."""
     if measure not in MEASURES:
         raise ParameterError("unknown measure %r" % measure)
     band = field = None

@@ -413,6 +413,15 @@ def test_report_non_ascii_header_exits_3(tmp_path, capsys):
     assert "ref.raster.hdr:" in capsys.readouterr().err
 
 
+def test_report_non_finite_raster_exits_3(tmp_path, capsys):
+    ref, tpl = write_pair(tmp_path)
+    payload = np.fromfile(ref, dtype="<f4")
+    payload[100] = np.nan
+    payload.tofile(ref)
+    assert run("report", "--mode", "diff", "--a", ref, "--b", tpl, "--out", tmp_path / "r") == 3
+    assert "ref.raster: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

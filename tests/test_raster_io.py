@@ -93,6 +93,40 @@ def test_write_raster_validates_input(tmp_path):
         write_raster(tmp_path / "x", g, [np.zeros(g.shape)], wavelengths=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_write_raster_refuses_samples_float32_cannot_hold(tmp_path, bad):
+    g = GridGeometry(4, 3)
+    values = np.zeros(g.shape)
+    values[1, 2] = bad
+    p = tmp_path / "x.raster"
+    with pytest.raises(FormatError, match=r"x\.raster: "):
+        write_raster(p, g, [np.ones(g.shape), values])
+    # refused before either file is written
+    assert not p.exists() and not (tmp_path / "x.raster.hdr").exists()
+    # under the nodata mask the sample is never stored
+    mask = np.zeros(g.shape, bool)
+    mask[1, 2] = True
+    write_raster(p, g, [values], nodata_mask=mask)
+    _, bands, _, got = read_raster(p)
+    np.testing.assert_array_equal(got, mask)
+    assert np.isfinite(bands[0]).all()
+
+
+def test_read_raster_refuses_non_finite_payload(tmp_path):
+    p = tmp_path / "nan.raster"
+    (tmp_path / "nan.raster.hdr").write_text("width = 2\nheight = 2\nbands = 1\n")
+    for bad in (np.nan, np.inf):
+        p.write_bytes(np.array([0.0, bad, 1.0, 0.5], dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match=r"nan\.raster: .*non-finite"):
+            read_raster(p)
+    # a non-finite sample in a nodata pixel is masked, not refused
+    (tmp_path / "nan.raster.hdr").write_text("width = 2\nheight = 2\nbands = 2\nnodata = -9999.0\n")
+    bands = np.array([[-9999.0, 0.5, 0.5, 0.5], [np.nan, 0.25, 0.25, 0.25]], dtype="<f4")
+    p.write_bytes(bands.tobytes())
+    _, _, _, mask = read_raster(p)
+    np.testing.assert_array_equal(mask, [[True, False], [False, False]])
+
+
 def test_read_raster_missing_files(tmp_path):
     with pytest.raises(FormatError):
         read_raster(tmp_path / "absent.raster")
