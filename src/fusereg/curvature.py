@@ -23,9 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dctn, idctn
-from scipy.sparse.linalg import splu
 
 from .errors import ParameterError
 from .grid import (
@@ -50,6 +48,11 @@ def bilaplacian(u: DisplacementField) -> DisplacementField:
     return DisplacementField(u.geometry, bx, by)
 
 
+# ((h, w, c), read-only eigenvalue factor) of the latest neumann_solve:
+# one slot is one level's constant
+_neumann_factor = (None, None)
+
+
 def neumann_solve(values: np.ndarray, c: float) -> np.ndarray:
     """Solve (I + c * B_N) x = values for each (h, w) plane of ``values``.
 
@@ -61,17 +64,25 @@ def neumann_solve(values: np.ndarray, c: float) -> np.ndarray:
     the solve is an O(n log n) preconditioner for the dropped-boundary
     operator, not its inverse.
     """
+    global _neumann_factor
     h, w = values.shape[-2:]
-    ly = -4.0 * np.sin(np.pi * np.arange(h) / (2.0 * h)) ** 2
-    lx = -4.0 * np.sin(np.pi * np.arange(w) / (2.0 * w)) ** 2
-    lam = ly[:, None] + lx[None, :]
+    key, factor = _neumann_factor
+    if key != (h, w, c):
+        ly = -4.0 * np.sin(np.pi * np.arange(h) / (2.0 * h)) ** 2
+        lx = -4.0 * np.sin(np.pi * np.arange(w) / (2.0 * w)) ** 2
+        lam = ly[:, None] + lx[None, :]
+        factor = 1.0 / (1.0 + c * lam * lam)
+        factor.flags.writeable = False
+        _neumann_factor = ((h, w, c), factor)
     coeffs = dctn(values, type=2, norm="ortho", axes=(-2, -1))
-    coeffs *= 1.0 / (1.0 + c * lam * lam)
-    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+    coeffs *= factor
+    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 
-def _second_difference_matrix(n: int) -> sp.csr_matrix:
+def _second_difference_matrix(n: int):
     """1-D [1, -2, 1] matrix with the two boundary rows zeroed."""
+    import scipy.sparse as sp
+
     main = np.full(n, -2.0)
     off = np.ones(n - 1)
     d = sp.diags([off, main, off], [-1, 0, 1], format="lil")
@@ -80,8 +91,10 @@ def _second_difference_matrix(n: int) -> sp.csr_matrix:
     return d.tocsr()
 
 
-def laplacian_matrix(geometry: GridGeometry) -> sp.csr_matrix:
+def laplacian_matrix(geometry: GridGeometry):
     """Sparse matrix form of the dropped-boundary Laplacian on the raveled grid."""
+    import scipy.sparse as sp
+
     h, w = geometry.shape
     dx = _second_difference_matrix(w)
     dy = _second_difference_matrix(h)
@@ -107,6 +120,9 @@ class SemiImplicitOperator:
             raise ParameterError("alpha must be finite and positive")
         if not (math.isfinite(dt) and dt > 0.0):
             raise ParameterError("dt must be finite and positive")
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         self.geometry = geometry
         self.alpha = float(alpha)
         self.dt = float(dt)

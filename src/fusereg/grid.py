@@ -197,12 +197,14 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     """Vectorized bilinear sampling.
 
     Returns (sampled values, invalid flags, cell), where cell holds the
-    in-cell fractions and the four corner values ``(fx, fy, v00, v10, v01,
-    v11)``.  Out-of-domain points are flagged unless ``edge_clamp`` is set,
-    in which case coordinates are clamped to the grid hull.  A point is
-    also invalid when any neighbour with nonzero interpolation weight is
-    masked.  ``values`` may stack several images on leading axes; they are
-    all sampled from the one cell computation.
+    in-cell fractions, their complements and the four corner values
+    ``(fx, fy, 1 - fx, 1 - fy, v00, v10, v01, v11)``.  Out-of-domain points
+    are flagged unless ``edge_clamp`` is set, in which case coordinates are
+    clamped to the grid hull.  A point is also invalid when any neighbour
+    with nonzero interpolation weight is masked.  With ``edge_clamp`` and
+    no mask nothing can be invalid, and the flags are None.  ``values`` may
+    stack several images on leading axes; they are all sampled from the
+    one cell computation.
     """
     h, w = values.shape[-2:]
     xc = np.clip(xs, 0.0, w - 1.0)
@@ -211,9 +213,11 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     y0 = np.minimum(np.floor(yc), h - 2).astype(np.int64)
     fx = xc - x0
     fy = yc - y0
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w10 = fx * (1.0 - fy)
-    w01 = (1.0 - fx) * fy
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    w00 = gx * gy
+    w10 = fx * gy
+    w01 = gx * fy
     w11 = fx * fy
     # the corners at flat positions k, k + 1, k + w, k + w + 1: ``take`` on
     # the raveled grid gathers what 2-D fancy indexing would, several
@@ -223,15 +227,12 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
     flat = values.reshape(values.shape[:-2] + (h * w,))
     v00, v10, v01, v11 = (np.take(flat, c, axis=-1) for c in corners)
     v = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
-    if edge_clamp:
-        bad = np.zeros(np.shape(xs), dtype=bool)
-    else:
-        bad = (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
+    bad = None if edge_clamp else (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
     if mask is not None:
         m00, m10, m01, m11 = (np.take(mask.ravel(), c).astype(np.float64) for c in corners)
-        touched = w00 * m00 + w10 * m10 + w01 * m01 + w11 * m11
-        bad = bad | (touched > 0.0)
-    return v, bad, (fx, fy, v00, v10, v01, v11)
+        touched = w00 * m00 + w10 * m10 + w01 * m01 + w11 * m11 > 0.0
+        bad = touched if bad is None else bad | touched
+    return v, bad, (fx, fy, gx, gy, v00, v10, v01, v11)
 
 
 def _nearest_arrays(values, mask, xs, ys):
@@ -280,9 +281,21 @@ def sample(image: ScalarImage, x: float, y: float, mode: str = "bilinear"):
     return float(v[0]), True
 
 
+# ((h, w), read-only (xs, ys)) of the latest _pixel_grid: one slot is one
+# level's constant
+_pixel_grid_memo = (None, None)
+
+
 def _pixel_grid(geometry: GridGeometry):
-    ys, xs = np.mgrid[0.0 : geometry.height, 0.0 : geometry.width]
-    return xs, ys
+    """Read-only column and row coordinates ``(xs, ys)`` of every pixel."""
+    global _pixel_grid_memo
+    shape, grid = _pixel_grid_memo
+    if shape != geometry.shape:
+        ys, xs = np.mgrid[0.0 : geometry.height, 0.0 : geometry.width]
+        xs.flags.writeable = ys.flags.writeable = False
+        grid = (xs, ys)
+        _pixel_grid_memo = (geometry.shape, grid)
+    return grid
 
 
 def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> ScalarImage:
@@ -316,14 +329,14 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
     xs, ys = _pixel_grid(u.geometry)
     px = xs - u.u_x
     py = ys - u.u_y
-    v, _, (fx, fy, v00, v10, v01, v11) = _bilinear_arrays(
+    v, _, (fx, fy, gx, gy, v00, v10, v01, v11) = _bilinear_arrays(
         image.values, None, px, py, edge_clamp=True
     )
     h, w = image.geometry.shape
-    dvdx = (1.0 - fy) * (v10 - v00) + fy * (v11 - v01)
-    dvdy = (1.0 - fx) * (v01 - v00) + fx * (v11 - v10)
-    dvdx = np.where((px < 0.0) | (px > w - 1.0), 0.0, dvdx)
-    dvdy = np.where((py < 0.0) | (py > h - 1.0), 0.0, dvdy)
+    dvdx = gy * (v10 - v00) + fy * (v11 - v01)
+    dvdy = gx * (v01 - v00) + fx * (v11 - v10)
+    dvdx[(px < 0.0) | (px > w - 1.0)] = 0.0
+    dvdy[(py < 0.0) | (py > h - 1.0)] = 0.0
     return ScalarImage(u.geometry, v, None), dvdx, dvdy
 
 
@@ -369,27 +382,41 @@ def laplacian_values(values: np.ndarray, spacing_x: float, spacing_y: float) -> 
     direction contributes zero on its two boundary planes and any affine
     field maps to zero everywhere.
     """
-    out = np.zeros_like(values)
-    out[:, 1:-1] += (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / spacing_x**2
-    out[1:-1, :] += (values[2:, :] - 2.0 * values[1:-1, :] + values[:-2, :]) / spacing_y**2
+    out = np.empty_like(values)
+    # (v[k+1] - 2 v[k]) + v[k-1] as (-2 v[k] + v[k+1]) + v[k-1]: same roundings
+    inner = np.multiply(values[:, 1:-1], -2.0, out=out[:, 1:-1])
+    inner += values[:, 2:]
+    inner += values[:, :-2]
+    if spacing_x != 1.0:
+        inner /= spacing_x**2
+    out[:, [0, -1]] = 0.0
+    dy = values[1:-1, :] * -2.0
+    dy += values[2:, :]
+    dy += values[:-2, :]
+    if spacing_y != 1.0:
+        dy /= spacing_y**2
+    out[1:-1, :] += dy
     return out
 
 
 def laplacian_adjoint_values(weights: np.ndarray, spacing_x: float, spacing_y: float) -> np.ndarray:
-    """Exact transpose of :func:`laplacian_values`."""
-    out = np.zeros_like(weights)
-    tx = weights / spacing_x**2
-    tx[:, 0] = 0.0
-    tx[:, -1] = 0.0
-    out[:, :-1] += tx[:, 1:]
-    out -= 2.0 * tx
-    out[:, 1:] += tx[:, :-1]
-    ty = weights / spacing_y**2
-    ty[0, :] = 0.0
-    ty[-1, :] = 0.0
-    out[:-1, :] += ty[1:, :]
-    out -= 2.0 * ty
-    out[1:, :] += ty[:-1, :]
+    """Exact transpose of :func:`laplacian_values`: per pixel t[k+1] -
+    2 t[k] + t[k-1] along x, then along y, t the weights over the squared
+    spacing, zero on that direction's two boundary planes."""
+    out = np.empty_like(weights)
+    tx = weights[:, 1:-1]
+    if spacing_x != 1.0:
+        tx = tx / spacing_x**2
+    out[:, :-2] = tx
+    out[:, -2:] = 0.0
+    out[:, 1:-1] -= 2.0 * tx
+    out[:, 2:] += tx
+    ty = weights[1:-1, :]
+    if spacing_y != 1.0:
+        ty = ty / spacing_y**2
+    out[:-2, :] += ty
+    out[1:-1, :] -= 2.0 * ty
+    out[2:, :] += ty
     return out
 
 

@@ -31,38 +31,42 @@ class MinimizeResult:
     n_evals: int
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """a . b as one numpy sum of the products, formed in ``out`` when given;
+    ``np.add.reduce`` is the reduction ``np.sum`` calls, without its wrapper."""
+    return float(np.add.reduce(np.multiply(a, b, out=out), axis=None))
 
 
 def _two_loop(gradient: np.ndarray, pairs, h0_gradient: np.ndarray) -> np.ndarray:
     """Standard l-BFGS two-loop recursion for -H * gradient.
 
-    ``pairs`` holds ``(s, y, rho, h0_y)`` tuples, oldest first, and
-    ``h0_gradient = H0 gradient``: the seed matrix is gamma * H0, where H0
-    applies a fixed preconditioner (the identity when there is none) and
-    gamma rescales it from the latest curvature pair (gamma = s.y / y.H0 y,
-    the usual scalar when H0 is the identity).  The recursion is linear in
-    H0, so H0 q = H0 gradient - sum_i a_i H0 y_i needs no further solve:
-    each pair carries ``h0_y = H0 y``, the difference of the seeded
-    gradients at its two ends.
+    ``pairs`` holds ``(s, y, sy, h0_y)`` tuples, oldest first, ``sy`` being
+    s . y, and ``h0_gradient = H0 gradient``: the seed matrix is gamma * H0,
+    where H0 applies a fixed preconditioner (the identity when there is
+    none) and gamma rescales it from the latest curvature pair (gamma =
+    s.y / y.H0 y, the usual scalar when H0 is the identity).  The recursion
+    is linear in H0, so H0 q = H0 gradient - sum_i a_i H0 y_i needs no
+    further solve: each pair carries ``h0_y = H0 y``, the difference of the
+    seeded gradients at its two ends.  Every product goes through one
+    scratch buffer; the inputs are left alone.
     """
+    buf = np.empty_like(gradient)
     q = gradient.copy()
     alphas = []
-    for s, y, rho, _ in reversed(pairs):
-        a = rho * _dot(s, q)
+    for s, y, sy, _ in reversed(pairs):
+        a = (1.0 / sy) * _dot(s, q, buf)
         alphas.append(a)
-        q -= a * y
+        q -= np.multiply(a, y, out=buf)
     q = h0_gradient.copy()
     for (_, _, _, h0_y), a in zip(reversed(pairs), alphas):
-        q -= a * h0_y
+        q -= np.multiply(a, h0_y, out=buf)
     if pairs:
-        s, y, _, h0_y = pairs[-1]
-        q *= _dot(s, y) / max(_dot(y, h0_y), 1e-300)
-    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
-        beta = rho * _dot(y, q)
-        q += (a - beta) * s
-    return -q
+        _, y, sy, h0_y = pairs[-1]
+        q *= sy / max(_dot(y, h0_y, buf), 1e-300)
+    for (s, y, sy, _), a in zip(pairs, reversed(alphas)):
+        beta = (1.0 / sy) * _dot(y, q, buf)
+        q += np.multiply(a - beta, s, out=buf)
+    return np.negative(q, out=q)
 
 
 def armijo_backtrack(fun, x, f, d, slope, t=1.0):
@@ -70,7 +74,9 @@ def armijo_backtrack(fun, x, f, d, slope, t=1.0):
 
     Tries ``x + t d`` for t, t/2, ... (at most ``MAX_BACKTRACKS`` times) and
     accepts the first trial whose value ``fun(x_try)[0]`` is finite and at
-    most ``f + ARMIJO_C1 * t * slope``.  A trial at which ``fun`` raises
+    most ``f + ARMIJO_C1 * t * slope``.  A first t = 2^-k saves the k
+    trials above it and accepts the step a search from 1 accepts whenever
+    those trials would have failed.  A trial at which ``fun`` raises
     :class:`FuseRegError` has left the measure's domain and is rejected
     like any other.  Returns ``(t, x_try, value, rest)`` for the accepted
     trial, ``rest`` being the second item ``fun`` returned, or None.
@@ -150,8 +156,8 @@ def _lbfgs_step(step_cap, h0_solve):
         # at the last step still waits for its H0 y = H0 g_new - H0 g_old
         h0_g = g if h0_solve is None else h0_solve(g)
         if pairs and pairs[-1][3] is None:
-            s, y, rho, _ = pairs[-1]
-            pairs[-1] = (s, y, rho, h0_g - h0_g_prev)
+            s, y, sy, _ = pairs[-1]
+            pairs[-1] = (s, y, sy, h0_g - h0_g_prev)
         d = _two_loop(g, pairs, h0_g)
         slope = _dot(g, d)
         if not np.isfinite(slope) or slope >= 0.0:
@@ -174,7 +180,7 @@ def _lbfgs_step(step_cap, h0_solve):
         y = g_new - g
         sy = _dot(s, y)
         if sy > 1e-12 * float(np.sqrt(_dot(s, s) * _dot(y, y)) + 1e-300):
-            pairs.append((s, y, 1.0 / sy, None))
+            pairs.append((s, y, sy, None))
             if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
         h0_g_prev = h0_g

@@ -46,7 +46,9 @@ def write_raster(
     """Write one or more bands sharing a grid.
 
     ``bands`` is a sequence of (height, width) arrays.  ``nodata_mask`` (one
-    shared boolean array) marks pixels stored as ``DEFAULT_NODATA``.
+    shared boolean array) marks pixels stored as ``DEFAULT_NODATA``; where
+    it marks any, a sample outside it that float32 stores as that value
+    would read back as nodata, and is refused.
     """
     path = str(path)
     bands = [np.asarray(b, dtype=np.float64) for b in bands]
@@ -68,6 +70,14 @@ def write_raster(
         payload = np.where(mask[None, :, :], DEFAULT_NODATA, payload)
     if not stored.all():
         raise FormatError("%s: samples outside the nodata mask must be finite float32 values" % path)
+    samples = payload.astype("<f4")
+    with_sentinel = nodata_mask is not None and mask.any()
+    # with the sentinel in the header, a sample stored as it reads back masked
+    if with_sentinel and ((samples == np.float32(DEFAULT_NODATA)).any(axis=0) & ~mask).any():
+        raise FormatError(
+            "%s: a sample outside the nodata mask equals the nodata value %r"
+            % (path, DEFAULT_NODATA)
+        )
     lines = [
         "width = %d" % geometry.width,
         "height = %d" % geometry.height,
@@ -77,14 +87,14 @@ def write_raster(
         "origin_easting = %r" % geometry.origin_easting,
         "origin_northing = %r" % geometry.origin_northing,
     ]
-    if nodata_mask is not None and mask.any():
+    if with_sentinel:
         lines.append("nodata = %r" % DEFAULT_NODATA)
     if wavelengths is not None:
         lines.append("wavelengths = " + ", ".join("%r" % float(wl) for wl in wavelengths))
     with open(_header_path(path), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(path, "wb") as fh:
-        fh.write(payload.astype("<f4").tobytes())
+        fh.write(samples.tobytes())
 
 
 def _parse_header(path: str) -> dict:

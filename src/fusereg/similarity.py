@@ -343,18 +343,25 @@ def ngf(template_w: ScalarImage, reference: ScalarImage, eta: float) -> Similari
 
 
 def _ngf(template_w, reference, eta, field):
-    """:func:`ngf`, optionally with the reference's field built beforehand."""
-    m = _joint_mask(template_w, reference)
-    mf = m.astype(np.float64)
+    """:func:`ngf`, optionally with the reference's field built beforehand.
+    Without nodata in either image the joint mask is all ones and is left
+    out of the products."""
+    if template_w.nodata is None and reference.nodata is None:
+        _require_same_shape(template_w.geometry, reference.geometry, "similarity")
+        mf = None
+    else:
+        mf = _joint_mask(template_w, reference).astype(np.float64)
     _, _, scale_t, nt_x, nt_y = _ngf_parts(template_w, eta)
     if field is None:
         field = ngf_field(reference, eta)
     nr_x, nr_y = field.n_x, field.n_y
     rho = nt_x * nr_x + nt_y * nr_y
-    value = float(rho.size - np.sum(mf * rho * rho))
+    rho2 = rho * rho if mf is None else mf * rho * rho
+    value = float(rho.size - np.sum(rho2))
     # d value / d grad(T) = -2 rho (n_R - rho n_T) / scale_T, pulled back
     # through the exact adjoint of the gradient stencils.
-    coeff = mf * (-2.0 * rho) / scale_t
+    coeff = -2.0 * rho if mf is None else mf * (-2.0 * rho)
+    coeff /= scale_t
     w_x = coeff * (nr_x - rho * nt_x)
     w_y = coeff * (nr_y - rho * nt_y)
     d_warped = gradient_axis_adjoint(w_x, 1, 1.0) + gradient_axis_adjoint(w_y, 0, 1.0)

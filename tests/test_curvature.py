@@ -1,8 +1,16 @@
 """Curvature regularizer and the semi-implicit operator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.fft import dctn, idctn
 
+import fusereg
+from fusereg import curvature
 from fusereg.curvature import (
     SemiImplicitOperator,
     bilaplacian,
@@ -212,3 +220,47 @@ def test_neumann_bilaplacian_matches_interior_of_bilaplacian(rng):
         np.testing.assert_allclose(got[2:-2, 2:-2], ref[2:-2, 2:-2], rtol=1e-12, atol=1e-12)
         # the two boundary models differ next to the border
         assert not np.allclose(got, ref)
+
+
+def _neumann_reference(values, c):
+    # the solve as first written, its factor built afresh on every call
+    h, w = values.shape[-2:]
+    ly = -4.0 * np.sin(np.pi * np.arange(h) / (2.0 * h)) ** 2
+    lx = -4.0 * np.sin(np.pi * np.arange(w) / (2.0 * w)) ** 2
+    lam = ly[:, None] + lx[None, :]
+    coeffs = dctn(values, type=2, norm="ortho", axes=(-2, -1))
+    coeffs *= 1.0 / (1.0 + c * lam * lam)
+    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+
+
+def test_neumann_solve_memo_gives_the_bytes_of_a_fresh_solve(rng):
+    v = rng.normal(size=(2, 20, 24))
+    kept = v.copy()
+    c1, c2 = 50.0, 0.37
+    for c in (c1, c2, c1, c1):
+        assert neumann_solve(v, c).tobytes() == _neumann_reference(v, c).tobytes()
+    # another grid in between, and a single plane
+    w = rng.normal(size=(9, 7))
+    assert neumann_solve(w, c1).tobytes() == _neumann_reference(w, c1).tobytes()
+    assert neumann_solve(v, c1).tobytes() == _neumann_reference(v, c1).tobytes()
+    assert v.tobytes() == kept.tobytes()
+    (key, factor) = curvature._neumann_factor
+    assert key == (20, 24, c1)
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError):
+        factor[0, 0] = 0.0
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # only the exact sparse reference operator needs scipy.sparse, so the
+    # program starts without importing it
+    src = str(Path(fusereg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fusereg.cli, fusereg.affine; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    # the reference operator still builds, importing it on demand
+    op = SemiImplicitOperator(GridGeometry(6, 5), alpha=2.0, dt=0.5)
+    assert op.matrix.shape == (30, 30)

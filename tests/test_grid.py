@@ -9,6 +9,7 @@ from fusereg.grid import (
     DisplacementField,
     GridGeometry,
     ScalarImage,
+    _pixel_grid,
     build_pyramid,
     displacement_to_geometry,
     downsample,
@@ -573,3 +574,75 @@ def test_displacement_to_geometry_rescales_pixel_units():
     # same physical motion, half as many (twice as large) pixels
     np.testing.assert_allclose(out.u_x, 2.0, atol=1e-12)
     np.testing.assert_allclose(out.u_y, 1.0, atol=1e-12)
+
+
+def _laplacian_reference(values, spacing_x, spacing_y):
+    # the stencils as first written: a zero fill, one temporary per term
+    out = np.zeros_like(values)
+    out[:, 1:-1] += (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / spacing_x**2
+    out[1:-1, :] += (values[2:, :] - 2.0 * values[1:-1, :] + values[:-2, :]) / spacing_y**2
+    return out
+
+
+def _laplacian_adjoint_reference(weights, spacing_x, spacing_y):
+    out = np.zeros_like(weights)
+    tx = weights / spacing_x**2
+    tx[:, 0] = 0.0
+    tx[:, -1] = 0.0
+    out[:, :-1] += tx[:, 1:]
+    out -= 2.0 * tx
+    out[:, 1:] += tx[:, :-1]
+    ty = weights / spacing_y**2
+    ty[0, :] = 0.0
+    ty[-1, :] = 0.0
+    out[:-1, :] += ty[1:, :]
+    out -= 2.0 * ty
+    out[1:, :] += ty[:-1, :]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (24, 40)])
+@pytest.mark.parametrize("spacing", [(1.0, 1.0), (0.5, 1.5), (0.7, 2.0)])
+def test_laplacian_stencils_are_bit_identical_exact_transposes(shape, spacing, rng):
+    values = rng.normal(size=shape)
+    kept = values.copy()
+    got = laplacian_values(values, *spacing)
+    assert got.tobytes() == _laplacian_reference(values, *spacing).tobytes()
+    got = laplacian_adjoint_values(values, *spacing)
+    assert got.tobytes() == _laplacian_adjoint_reference(values, *spacing).tobytes()
+    assert values.tobytes() == kept.tobytes()
+    # dense matrices from the unit planes: the adjoint's is the exact transpose
+    n = shape[0] * shape[1]
+    units = np.eye(n).reshape((n,) + shape)
+    forward = np.stack([laplacian_values(e, *spacing).ravel() for e in units], axis=1)
+    adjoint = np.stack([laplacian_adjoint_values(e, *spacing).ravel() for e in units], axis=1)
+    assert np.array_equal(adjoint, forward.T)
+
+
+def test_pixel_grid_is_a_read_only_memo():
+    g = GridGeometry(5, 3, 2.0, 0.5)
+    xs, ys = _pixel_grid(g)
+    assert not xs.flags.writeable and not ys.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0, 0] = 1.0
+    want_ys, want_xs = np.mgrid[0.0:3, 0.0:5]
+    assert xs.tobytes() == want_xs.tobytes() and ys.tobytes() == want_ys.tobytes()
+    # another shape replaces the slot; the same shape comes back as it was
+    other, _ = _pixel_grid(GridGeometry(4, 4))
+    assert other.shape == (4, 4)
+    again, _ = _pixel_grid(GridGeometry(5, 3))
+    assert again.tobytes() == want_xs.tobytes()
+
+
+def test_warp_with_jacobian_zeroes_clamped_derivatives(rng):
+    g = GridGeometry(12, 10)
+    image = random_image(g, rng)
+    u = DisplacementField(g, rng.normal(0.0, 4.0, g.shape), rng.normal(0.0, 4.0, g.shape))
+    _, dvdx, dvdy = warp_with_jacobian(image, u)
+    xs, ys = np.meshgrid(np.arange(12.0), np.arange(10.0))
+    px, py = xs - u.u_x, ys - u.u_y
+    outside_x = (px < 0.0) | (px > 11.0)
+    outside_y = (py < 0.0) | (py > 9.0)
+    assert outside_x.any() and outside_y.any()
+    assert not dvdx[outside_x].any() and not dvdy[outside_y].any()
+    assert dvdx.flags.writeable and dvdy.flags.writeable

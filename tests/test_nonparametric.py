@@ -2,6 +2,7 @@
 
 import logging
 import os
+import platform
 import subprocess
 import sys
 
@@ -32,6 +33,14 @@ def translation_pair(n=64, shift=(2.0, 0.0), seed=11, smoothness=2.0):
     )
     tem = warp(ref, u_d)
     return tem, ref
+
+
+def bump_pair():
+    """64x64 reference texture and a copy deformed by a 3 px Gaussian bump."""
+    g = GridGeometry(64, 64)
+    ref = synthetic_texture(g, seed=11, smoothness=2.0)
+    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=3.0, sigma=10.0)
+    return warp(ref, bump.realized(g)), ref
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +294,11 @@ def test_gauss_newton_cg_stops_before_its_cap(monkeypatch):
         return out
 
     monkeypatch.setattr(nonparametric, "_conjugate_gradient", counted)
-    g = GridGeometry(64, 64)
-    ref = synthetic_texture(g, seed=11, smoothness=2.0)
-    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=3.0, sigma=10.0)
-    tem = warp(ref, bump.realized(g))
+    tem, ref = bump_pair()
     cfg = RegistrationConfig(
         measure="SSD", alpha=5.0, solver="gauss-newton", max_iters_per_level=20
     )
-    _, trace = register_level(tem, ref, DisplacementField.zero(g), cfg)
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
     assert trace.iterations >= 2
     assert len(matvecs) >= trace.iterations
     assert max(matvecs) < 100
@@ -319,14 +325,11 @@ def test_gauss_newton_cg_is_truncated_at_a_tenth(monkeypatch):
         return out
 
     monkeypatch.setattr(nonparametric, "_conjugate_gradient", recorded)
-    g = GridGeometry(64, 64)
-    ref = synthetic_texture(g, seed=11, smoothness=2.0)
-    bump = SyntheticDeformation(kind="gaussian-bump", amplitude=3.0, sigma=10.0)
-    tem = warp(ref, bump.realized(g))
+    tem, ref = bump_pair()
     cfg = RegistrationConfig(
         measure="SSD", alpha=5.0, solver="gauss-newton", max_iters_per_level=20
     )
-    _, trace = register_level(tem, ref, DisplacementField.zero(g), cfg)
+    _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
     assert trace.iterations >= 2
     assert len(solves) >= trace.iterations
     for matvecs, residual, slope in solves:
@@ -383,6 +386,71 @@ def test_semi_implicit_direction_is_the_dct_solve(monkeypatch):
     for g, d in seen:
         expected = -dt * neumann_solve(g.reshape(2, 40, 40), dt * alpha)
         assert d.tobytes() == expected.ravel().tobytes()
+
+
+@pytest.mark.parametrize(
+    "solver,measure,alpha", [("semi-implicit", "NGF", 50.0), ("gauss-newton", "SSD", 5.0)]
+)
+def test_remembered_step_accepts_the_steps_of_a_search_from_one(
+    solver, measure, alpha, monkeypatch
+):
+    # each search along the solver's direction starts at min(1, 2 t_prev);
+    # a search from t = 1 accepts the same steps, only with more trials
+    tem, ref = bump_pair()
+    cfg = RegistrationConfig(
+        measure=measure, alpha=alpha, eta=0.02, solver=solver,
+        max_levels=2, max_iters_per_level=40,
+    )
+    armijo_backtrack = nonparametric.armijo_backtrack
+    starts = []
+
+    def recorded(fun, x, f, d, slope, t=1.0):
+        starts.append(t)
+        return armijo_backtrack(fun, x, f, d, slope, t)
+
+    monkeypatch.setattr(nonparametric, "armijo_backtrack", recorded)
+    _, remembered = register_multilevel(tem, ref, cfg)
+
+    def from_one(fun, x, f, d, slope, t=1.0):
+        return armijo_backtrack(fun, x, f, d, slope)
+
+    monkeypatch.setattr(nonparametric, "armijo_backtrack", from_one)
+    _, restarted = register_multilevel(tem, ref, cfg)
+
+    assert remembered.to_text() == restarted.to_text()
+    assert remembered.total_iterations() >= 10
+    fewer = [a.evaluations for a in remembered.levels]
+    more = [b.evaluations for b in restarted.levels]
+    assert all(a <= b for a, b in zip(fewer, more))
+    assert sum(fewer) < sum(more)
+    # these runs never fall back to -g; the next test covers that search
+    assert min(starts) < 1.0
+
+
+def test_minus_g_search_starts_at_one_and_keeps_the_remembered_step(monkeypatch):
+    # f = x.x / 2, g = x; along -8 g the first decrease is at t = 1/8
+    def fun(x):
+        return 0.5 * float(np.sum(x * x)), (x.copy(),)
+
+    armijo_backtrack = nonparametric.armijo_backtrack
+    starts = []
+
+    def recorded(fun, x, f, d, slope, t=1.0):
+        starts.append(t)
+        return armijo_backtrack(fun, x, f, d, slope, t)
+
+    monkeypatch.setattr(nonparametric, "armijo_backtrack", recorded)
+    directions = iter([lambda g: -8.0 * g, lambda g: g, lambda g: -8.0 * g])
+    step = nonparametric._line_search_rule(lambda rest: next(directions)(rest[0]))
+    x = np.array([1.0, -2.0, 0.5])
+    f, rest = fun(x)
+    # along -8 g from 1, then (ascent direction) along -g from 1, then along
+    # -8 g from 2 / 8; every search lands on 0
+    for want_start in (1.0, 1.0, 0.25):
+        starts.clear()
+        x_new, _, _, _ = step(fun, x, f, rest)
+        assert starts == [want_start]
+        assert not x_new.any()
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -505,6 +573,46 @@ def test_registration_bytes_do_not_depend_on_thread_count():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]
+
+
+HEAP_SCRIPT = r"""
+import resource
+import numpy as np
+from fusereg.evaluation import synthetic_texture
+from fusereg.grid import DisplacementField, GridGeometry
+from fusereg.nonparametric import RegistrationConfig, register_level
+
+g = GridGeometry(32, 32)
+ref = synthetic_texture(g, seed=1, smoothness=2.0)
+cfg = RegistrationConfig(measure="SSD", alpha=1.0, max_iters_per_level=2)
+register_level(ref, ref, DisplacementField.zero(g), cfg)
+
+
+def churn():
+    # 64 live 256 KiB arrays, then all freed at once, as an iteration does
+    blocks = [np.ones(1 << 15) for _ in range(64)]
+    del blocks
+
+
+churn()
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_registration_leaves_freed_arrays_on_the_heap():
+    # glibc's default returns the 16 MiB to the kernel after each churn
+    # and faults its 4096 pages in again on the next
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_SCRIPT], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 4096
 
 
 def test_register_level_fills_template_gaps():

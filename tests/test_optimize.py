@@ -97,7 +97,7 @@ def test_two_loop_matches_two_solve_recursion(rng):
         q += (alpha - beta) * s
     want = -q
 
-    got = _two_loop(g, [(s, y, rho, h0 @ y) for s, y, rho in pairs], h0 @ g)
+    got = _two_loop(g, [(s, y, float(s @ y), h0 @ y) for s, y, _ in pairs], h0 @ g)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -180,3 +180,43 @@ def test_iteration_budget_respected(rng):
     res = minimize_lbfgs(fg, rng.normal(size=40), max_iters=3, rel_tolerance=1e-16)
     assert res.iterations <= 3
     assert not res.converged
+
+
+def _two_loop_reference(gradient, pairs, h0_gradient):
+    # the recursion as first written: a fresh temporary per product, pairs
+    # carrying rho = 1 / s.y
+    q = gradient.copy()
+    alphas = []
+    for s, y, rho, _ in reversed(pairs):
+        a = rho * float(np.sum(s * q))
+        alphas.append(a)
+        q -= a * y
+    q = h0_gradient.copy()
+    for (_, _, _, h0_y), a in zip(reversed(pairs), alphas):
+        q -= a * h0_y
+    if pairs:
+        s, y, _, h0_y = pairs[-1]
+        q *= float(np.sum(s * y)) / max(float(np.sum(y * h0_y)), 1e-300)
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+        beta = rho * float(np.sum(y * q))
+        q += (a - beta) * s
+    return -q
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 7), (6,)])
+@pytest.mark.parametrize("n_pairs", [0, 1, 4])
+def test_two_loop_is_bit_identical_and_leaves_its_inputs_alone(shape, n_pairs, rng):
+    g = rng.normal(size=shape)
+    h0_g = 0.5 * g + 0.1 * rng.normal(size=shape)
+    pairs = []
+    for _ in range(n_pairs):
+        s = rng.normal(size=shape)
+        y = s + 0.3 * rng.normal(size=shape)
+        sy = float(np.sum(s * y))
+        pairs.append((s, y, sy, 0.5 * y + 0.1 * rng.normal(size=shape)))
+    before = [a.tobytes() for a in [g, h0_g] + [v for p in pairs for v in (p[0], p[1], p[3])]]
+    want = _two_loop_reference(g, [(s, y, 1.0 / sy, h0_y) for s, y, sy, h0_y in pairs], h0_g)
+    got = _two_loop(g, pairs, h0_g)
+    assert got.tobytes() == want.tobytes()
+    after = [a.tobytes() for a in [g, h0_g] + [v for p in pairs for v in (p[0], p[1], p[3])]]
+    assert after == before

@@ -112,6 +112,29 @@ def test_write_raster_refuses_samples_float32_cannot_hold(tmp_path, bad):
     assert np.isfinite(bands[0]).all()
 
 
+@pytest.mark.parametrize("clash", [-9999.0, -9999.0002])
+def test_write_raster_refuses_a_valid_sample_equal_to_nodata(tmp_path, clash):
+    # with a nodata header the sample would read back masked; -9999.0002
+    # is stored as the same float32
+    g = GridGeometry(4, 4)
+    values = np.zeros(g.shape)
+    values[2, 2] = clash
+    mask = np.zeros(g.shape, bool)
+    mask[0, 0] = True
+    p = tmp_path / "x.raster"
+    with pytest.raises(FormatError, match=r"x\.raster: .*nodata value"):
+        write_raster(p, g, [np.ones(g.shape), values], nodata_mask=mask)
+    assert not p.exists() and not (tmp_path / "x.raster.hdr").exists()
+    # under the mask, or without a nodata header, the value is stored as is
+    mask[2, 2] = True
+    write_raster(p, g, [values], nodata_mask=mask)
+    np.testing.assert_array_equal(read_raster(p)[3], mask)
+    write_raster(p, g, [values], nodata_mask=np.zeros(g.shape, bool))
+    _, bands, _, got = read_raster(p)
+    assert got is None
+    assert bands[0][2, 2] == np.float32(clash)
+
+
 def test_read_raster_refuses_non_finite_payload(tmp_path):
     p = tmp_path / "nan.raster"
     (tmp_path / "nan.raster.hdr").write_text("width = 2\nheight = 2\nbands = 1\n")
