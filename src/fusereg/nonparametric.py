@@ -29,6 +29,7 @@ from .curvature import bilaplacian, curvature_energy, neumann_solve
 from .errors import DivergenceError, ParameterError
 from .grid import (
     DisplacementField,
+    GridGeometry,
     _check_count,
     _check_normalized,
     _require_same_shape,
@@ -47,6 +48,10 @@ SOLVERS = ("semi-implicit", "l-bfgs", "gauss-newton", "trust-region")
 TRUST_RADIUS = 2.0  # trust-region step cap, pixels per component
 CG_MAX_ITERS = 100
 CG_REL_TOL = 0.1
+# _seed_ratio fits where s and B s are this far from parallel (sin^2 of the
+# angle) and |B s| / |s| tops the rounding noise on an affine s (~1e-15)
+SEED_FIT_MIN_SIN2 = 1e-6
+SEED_FIT_MIN_BS = 1e-12
 # glibc's mallopt parameters (malloc.h), and the ceiling its own adaptive
 # mmap threshold may reach on 64-bit systems
 _M_TRIM_THRESHOLD = -1
@@ -286,6 +291,34 @@ def _gauss_newton_direction(alpha):
     return direction
 
 
+def _seed_ratio(s, y, alpha):
+    """The weight ``c`` of the quasi-Newton seed ``(I + c B_N)^(-1)`` fitted
+    to one curvature pair ``(s, y)`` of ``(2, h, w)`` arrays, and whether
+    it was fitted.
+
+    Least squares fits ``a s + b alpha B s`` to ``y``, B the objective's
+    :func:`bilaplacian`: a 2x2 system, solved in closed form.  The two-loop
+    recursion's gamma sets the seed's scale (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., section 7.2), so only ``c = alpha b / a``
+    counts.  Unless ``a > 0``, ``b > 0`` and the system is well
+    conditioned, ``c`` stays ``alpha``: an affine ``s`` has B s = 0, and
+    MI and NGF can have negative curvature.
+    """
+    h, w = s.shape[-2:]
+    bs = bilaplacian(DisplacementField(GridGeometry(w, h), s[0], s[1]))
+    q = alpha * np.stack([bs.u_x, bs.u_y])
+    ss, sq, qq = _dot(s, s), _dot(s, q), _dot(q, q)
+    sy, qy = _dot(s, y), _dot(q, y)
+    det = ss * qq - sq * sq
+    if not (qq > (SEED_FIT_MIN_BS * alpha) ** 2 * ss and det > SEED_FIT_MIN_SIN2 * ss * qq):
+        return alpha, False
+    a = (qq * sy - sq * qy) / det
+    b = (ss * qy - sq * sy) / det
+    if not (a > 0.0 and b > 0.0):
+        return alpha, False
+    return alpha * b / a, True
+
+
 def _line_search_rule(direction):
     """Step rule for :func:`descend`: Armijo search along
     ``direction(rest)``, or along -g where that is no descent direction
@@ -350,13 +383,14 @@ def _keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
-def _run_level(trace, minimize, name):
+def _run_level(trace, minimize, name, note=None):
     """Run one level's minimization ``minimize()`` into ``trace``.
 
     The one place that records how a level ended: its wall time, the
     result's ``converged`` and ``n_evals``, the iteration-0 warning and the
-    summary line, ``name`` introducing both.  A :class:`DivergenceError`
-    leaves with the level trace and its level attached.  The minimization
+    summary line, ``name`` introducing both and ``note()``, when given,
+    ending the summary.  A :class:`DivergenceError` leaves with the level
+    trace and its level attached.  The minimization
     runs on a heap that keeps freed memory (:func:`_keep_freed_heap`).
     """
     _keep_freed_heap()
@@ -374,8 +408,8 @@ def _run_level(trace, minimize, name):
     if trace.iterations == 0:
         log.warning("%s stopped at iteration 0: no step was accepted", name)
     log.info(
-        "%s: %d iterations, J=%.6e, converged=%s",
-        name, trace.iterations, result.fun, trace.converged,
+        "%s: %d iterations, J=%.6e, converged=%s%s",
+        name, trace.iterations, result.fun, trace.converged, "" if note is None else note(),
     )
     return result
 
@@ -422,6 +456,7 @@ def register_level(template, reference, u0, config, level=0):
     geometry = u0.geometry
     trace = LevelTrace(level, geometry.width, geometry.height, config.solver)
     terms = {}  # D and S of the latest evaluation, the accepted one at callbacks
+    seed = {}  # the quasi-Newton seed's c and how it was set
 
     def full(x):
         u = DisplacementField(geometry, x[0], x[1])
@@ -454,17 +489,31 @@ def register_level(template, reference, u0, config, level=0):
         if config.solver == "gauss-newton":
             direction = _gauss_newton_direction(config.alpha)
             return descend(full, x0, _line_search_rule(direction), **limits)
-        # seed the quasi-Newton model with (I + alpha B_N)^(-1): the stiff
-        # curvature block dominates the Hessian spectrum and an identity
-        # seed forces thousands of tiny steps
+        # seed the quasi-Newton model with (I + c B_N)^(-1): an identity seed
+        # forces thousands of tiny steps.  c = alpha takes the data term's
+        # curvature to be 1, some 300 times that of SSD at 64^2, so the
+        # first curvature pair refits c (see _seed_ratio)
+        seed.update(c=config.alpha, how="kept")
+
         def h0_solve(v):
-            return neumann_solve(v, config.alpha)
+            return neumann_solve(v, seed["c"])
+
+        def h0_fit(s, y):
+            c, fitted = _seed_ratio(s, y, config.alpha)
+            seed.update(c=c, how="fitted" if fitted else "kept")
 
         cap = TRUST_RADIUS if config.solver == "trust-region" else None
-        return minimize_lbfgs(fun_grad, x0, step_cap=cap, h0_solve=h0_solve, **limits)
+        return minimize_lbfgs(
+            fun_grad, x0, step_cap=cap, h0_solve=h0_solve, h0_fit=h0_fit, **limits
+        )
+
+    def seed_note():
+        if not seed:
+            return ""
+        return ", seed c/alpha=%.4g (%s)" % (seed["c"] / config.alpha, seed["how"])
 
     name = "level %d (%dx%d, %s)" % (level, geometry.width, geometry.height, config.solver)
-    x = _run_level(trace, minimize, name).x
+    x = _run_level(trace, minimize, name, seed_note).x
     return DisplacementField(geometry, x[0], x[1]), trace
 
 

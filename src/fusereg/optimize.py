@@ -142,13 +142,14 @@ def descend(fun, x0, step, *, max_iters, rel_tolerance, callback=None) -> Minimi
     return MinimizeResult(x=x, fun=f, iterations=iterations, converged=converged, n_evals=n_evals)
 
 
-def _lbfgs_step(step_cap, h0_solve):
+def _lbfgs_step(step_cap, h0_solve, h0_fit):
     """The l-BFGS step rule for :func:`descend`; ``rest`` is the gradient."""
     pairs: list = []
     h0_g_prev = None
+    fit_pending = h0_fit is not None
 
     def step(fun, x, f, g):
-        nonlocal h0_g_prev
+        nonlocal h0_g_prev, fit_pending
         g_inf = float(np.max(np.abs(g))) if g.size else 0.0
         if g_inf <= 1e-12 * (1.0 + abs(f)):
             return None
@@ -183,6 +184,12 @@ def _lbfgs_step(step_cap, h0_solve):
             pairs.append((s, y, sy, None))
             if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
+            if fit_pending:
+                # the first pair refits the seed; the old end of this pair
+                # is seeded again, so its H0 y uses one seed at both ends
+                fit_pending = False
+                h0_fit(s, y)
+                h0_g = h0_solve(g)
         h0_g_prev = h0_g
         return x_new, f_new, g_new, float(np.max(np.abs(s)))
 
@@ -197,6 +204,7 @@ def minimize_lbfgs(
     rel_tolerance: float = 1e-6,
     step_cap: float | None = None,
     h0_solve=None,
+    h0_fit=None,
     callback=None,
 ) -> MinimizeResult:
     """Minimize fun_grad(x) -> (value, gradient) from x0 by l-BFGS.
@@ -208,13 +216,17 @@ def minimize_lbfgs(
     clipped so no component moves farther than the cap (a step-limited
     trust-region flavour).  ``h0_solve(v)``, when given, applies an SPD
     preconditioner as the seed matrix (see :func:`_two_loop`), once per
-    iterate, to the gradient there.  ``callback`` is that of
-    :func:`descend`, its ``rest`` the gradient.
+    iterate, to the gradient there.  ``h0_fit(s, y)``, when given with
+    ``h0_solve``, is called once, with the first curvature pair stored,
+    and may change what ``h0_solve`` applies from then on; the gradient
+    at that pair's old end is then seeded once more, so no pair mixes two
+    seeds.  ``callback`` is that of :func:`descend`, its ``rest`` the
+    gradient.
     """
     return descend(
         fun_grad,
         np.array(x0, dtype=np.float64),
-        _lbfgs_step(step_cap, h0_solve),
+        _lbfgs_step(step_cap, h0_solve, h0_fit),
         max_iters=max_iters,
         rel_tolerance=rel_tolerance,
         callback=callback,

@@ -51,10 +51,24 @@ def _joint_mask(template_w: ScalarImage, reference: ScalarImage) -> np.ndarray:
     return template_w.valid_mask & reference.valid_mask
 
 
+def _gap_mask(template_w: ScalarImage, reference: ScalarImage) -> np.ndarray | None:
+    """The joint valid mask, or None when neither image has nodata: then
+    the mask is all true, and leaving it out of the products changes no
+    value."""
+    if template_w.nodata is None and reference.nodata is None:
+        _require_same_shape(template_w.geometry, reference.geometry, "similarity")
+        return None
+    return _joint_mask(template_w, reference)
+
+
+def _zero_outside(m: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    return values if m is None else np.where(m, values, 0.0)
+
+
 def ssd(template_w: ScalarImage, reference: ScalarImage) -> SimilarityResult:
     """Sum of squared differences, 0.5 * sum((T - R)^2) over valid pixels."""
-    m = _joint_mask(template_w, reference)
-    diff = np.where(m, template_w.values - reference.values, 0.0)
+    m = _gap_mask(template_w, reference)
+    diff = _zero_outside(m, template_w.values - reference.values)
     value = 0.5 * float(np.sum(diff * diff))
     return SimilarityResult(value, diff)
 
@@ -65,21 +79,20 @@ def ncc(template_w: ScalarImage, reference: ScalarImage) -> SimilarityResult:
     Invariant under affine intensity rescaling of either input; constant
     images have no defined correlation and are rejected.
     """
-    m = _joint_mask(template_w, reference)
-    mf = m.astype(np.float64)
-    n = float(np.sum(mf))
+    m = _gap_mask(template_w, reference)
+    n = float(template_w.values.size if m is None else np.count_nonzero(m))
     if n < 2:
         raise DegenerateImageError("correlation needs at least two valid pixels")
-    t_mean = float(np.sum(template_w.values * mf)) / n
-    r_mean = float(np.sum(reference.values * mf)) / n
-    a = np.where(m, template_w.values - t_mean, 0.0)
-    b = np.where(m, reference.values - r_mean, 0.0)
+    t_mean = float(np.sum(_zero_outside(m, template_w.values))) / n
+    r_mean = float(np.sum(_zero_outside(m, reference.values))) / n
+    a = _zero_outside(m, template_w.values - t_mean)
+    b = _zero_outside(m, reference.values - r_mean)
     a_norm = float(np.sqrt(np.sum(a * a)))
     b_norm = float(np.sqrt(np.sum(b * b)))
     if a_norm < 1e-12 or b_norm < 1e-12:
         raise DegenerateImageError("constant image: correlation undefined")
     rho = float(np.sum(a * b)) / (a_norm * b_norm)
-    d_rho = (b / (a_norm * b_norm) - (rho / a_norm**2) * a) * mf
+    d_rho = _zero_outside(m, b / (a_norm * b_norm) - (rho / a_norm**2) * a)
     return SimilarityResult(1.0 - rho * rho, -2.0 * rho * d_rho)
 
 
@@ -343,14 +356,10 @@ def ngf(template_w: ScalarImage, reference: ScalarImage, eta: float) -> Similari
 
 
 def _ngf(template_w, reference, eta, field):
-    """:func:`ngf`, optionally with the reference's field built beforehand.
-    Without nodata in either image the joint mask is all ones and is left
-    out of the products."""
-    if template_w.nodata is None and reference.nodata is None:
-        _require_same_shape(template_w.geometry, reference.geometry, "similarity")
-        mf = None
-    else:
-        mf = _joint_mask(template_w, reference).astype(np.float64)
+    """:func:`ngf`, optionally with the reference's field built beforehand
+    (see :func:`_gap_mask` for the mask)."""
+    m = _gap_mask(template_w, reference)
+    mf = None if m is None else m.astype(np.float64)
     _, _, scale_t, nt_x, nt_y = _ngf_parts(template_w, eta)
     if field is None:
         field = ngf_field(reference, eta)

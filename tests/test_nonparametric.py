@@ -540,6 +540,65 @@ def test_level_stopped_at_iteration_zero_warns(texture64, caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+def _smooth_field(rng, shape):
+    from scipy.ndimage import gaussian_filter
+
+    return np.stack([gaussian_filter(rng.normal(size=shape), 4.0) for _ in range(2)])
+
+
+def test_seed_ratio_recovers_the_data_curvature(rng):
+    alpha, mu = 5.0, 0.003
+    g = GridGeometry(64, 48)
+    s = _smooth_field(rng, g.shape)
+    bs = curvature.bilaplacian(DisplacementField(g, s[0], s[1]))
+    y = mu * s + alpha * np.stack([bs.u_x, bs.u_y])
+    c, fitted = nonparametric._seed_ratio(s, y, alpha)
+    assert fitted
+    assert c == pytest.approx(alpha / mu, rel=1e-9)
+    # negative curvature
+    assert nonparametric._seed_ratio(s, -s, alpha) == (alpha, False)
+    # an affine s, whose B s is rounding noise
+    yy, xx = np.mgrid[0 : g.height, 0 : g.width].astype(float)
+    affine = np.stack([0.37 + 0.0113 * xx - 0.0071 * yy, -0.21 + 0.0093 * xx + 0.0137 * yy])
+    assert nonparametric._seed_ratio(affine, mu * affine, alpha) == (alpha, False)
+    noisy = mu * affine + 1e-3 * rng.normal(size=affine.shape)
+    assert nonparametric._seed_ratio(affine, noisy, alpha) == (alpha, False)
+
+
+def test_trust_region_seeds_with_the_weight_fitted_to_the_first_pair(monkeypatch, caplog):
+    weights = []
+
+    def spy(values, c):
+        weights.append(c)
+        return neumann_solve(values, c)
+
+    monkeypatch.setattr(nonparametric, "neumann_solve", spy)
+    tem, ref = bump_pair()
+    alpha = 5.0
+    cfg = RegistrationConfig(
+        measure="SSD", alpha=alpha, solver="trust-region", max_iters_per_level=20
+    )
+    with caplog.at_level(logging.INFO, logger="fusereg.nonparametric"):
+        _, trace = register_level(tem, ref, DisplacementField.zero(tem.geometry), cfg)
+    assert trace.iterations >= 3
+    # the first step's seed, then the fitted one for the rest of the level
+    assert weights[0] == alpha
+    assert len(set(weights[1:])) == 1 and weights[1] > alpha
+    (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert line.endswith(", seed c/alpha=%.4g (fitted)" % (weights[1] / alpha))
+
+
+def test_only_quasi_newton_levels_log_their_seed(caplog):
+    tem, ref = translation_pair(n=32, shift=(1.0, 0.5), seed=3)
+    for solver in SOLVERS:
+        cfg = RegistrationConfig(measure="SSD", alpha=1.0, solver=solver, max_iters_per_level=3)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fusereg.nonparametric"):
+            register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert ("seed c/alpha=" in line) == (solver in ("l-bfgs", "trust-region"))
+
+
 THREADS_SCRIPT = r"""
 import hashlib
 import numpy as np
@@ -550,7 +609,7 @@ from fusereg.nonparametric import RegistrationConfig, register_multilevel
 g = GridGeometry(48, 40)
 ref = synthetic_texture(g, seed=3, smoothness=2.0)
 tem = warp(ref, DisplacementField(g, np.full(g.shape, 0.7), np.full(g.shape, -0.4)))
-for solver in ("l-bfgs", "gauss-newton"):
+for solver in ("l-bfgs", "gauss-newton", "trust-region"):
     cfg = RegistrationConfig(measure="SSD", alpha=5.0, solver=solver, max_levels=2,
                              max_iters_per_level=15)
     u, trace = register_multilevel(tem, ref, cfg)
@@ -571,7 +630,7 @@ def test_registration_bytes_do_not_depend_on_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 2
+    assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
 
 

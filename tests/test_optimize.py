@@ -1,5 +1,7 @@
 """Quasi-Newton core on analytic problems."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,69 @@ def test_two_loop_is_bit_identical_and_leaves_its_inputs_alone(shape, n_pairs, r
     assert got.tobytes() == want.tobytes()
     after = [a.tobytes() for a in [g, h0_g] + [v for p in pairs for v in (p[0], p[1], p[3])]]
     assert after == before
+
+
+def _seeded_quadratic():
+    diag = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 300.0])
+    x0 = np.array([1.0, -0.5, 0.25, 2.0, -1.5, 0.75])
+    return diag, quadratic(diag), x0
+
+
+def test_h0_fit_is_called_once_with_the_first_stored_pair(monkeypatch):
+    import fusereg.optimize as optimize
+
+    diag, fg, x0 = _seeded_quadratic()
+    seed = {"c": 0.1}
+    fits, solves, points, pairs_seen = [], [], [], []
+
+    def h0_solve(v):
+        solves.append(seed["c"])
+        return v / (1.0 + seed["c"] * diag)
+
+    def h0_fit(s, y):
+        fits.append((s.copy(), y.copy()))
+        seed["c"] = 0.01
+
+    def spy(gradient, pairs, h0_gradient):
+        pairs_seen.append([p[3] for p in pairs])
+        return two_loop(gradient, pairs, h0_gradient)
+
+    two_loop = optimize._two_loop
+    monkeypatch.setattr(optimize, "_two_loop", spy)
+    res = minimize_lbfgs(
+        fg, x0, max_iters=40, rel_tolerance=1e-14, h0_solve=h0_solve, h0_fit=h0_fit,
+        callback=lambda k, x, f, g, step: points.append((x.copy(), g.copy())),
+    )
+    assert res.iterations >= 3
+    assert len(fits) == 1
+    (x_0, g_0), (x_1, g_1) = points[:2]
+    s, y = fits[0]
+    np.testing.assert_allclose(s, x_1 - x_0, rtol=1e-12, atol=1e-15)
+    assert y.tobytes() == (g_1 - g_0).tobytes()
+    # one solve per step, one more to seed the first pair's old end again
+    assert solves[:3] == [0.1, 0.01, 0.01]
+    assert len(solves) == len(pairs_seen) + 1
+    first_h0_y = pairs_seen[1][0]
+    np.testing.assert_allclose(first_h0_y, y / (1.0 + 0.01 * diag), rtol=1e-12)
+
+
+def test_runs_without_h0_fit_keep_their_bytes():
+    # digests of the iterates the step rule gave before h0_fit existed
+    diag, fg, x0 = _seeded_quadratic()
+    h0 = dict(h0_solve=lambda v: v / (1.0 + 0.1 * diag))
+    want = [
+        ({}, 31, "6ab649496c1d7702f72d72e19216713c685cfca6ec88e79403cad7b6ade5c9d6"),
+        (h0, 17, "5b2517fdcb3ffe5360b577cf8f29ec74a3ef96a3ab46ae4fa676dcdfc35034a1"),
+        (dict(h0, step_cap=0.5), 23,
+         "e3c9417f4760a68fcdc9466c235c8616170385ab12de6ea2c762e28317b337ab"),
+    ]
+    for kwargs, iterations, digest in want:
+        h = hashlib.sha256()
+
+        def cb(k, x, f, g, step):
+            h.update(x.tobytes() + g.tobytes() + np.float64(f).tobytes()
+                     + np.float64(step).tobytes())
+
+        res = minimize_lbfgs(fg, x0, max_iters=40, rel_tolerance=1e-14, callback=cb, **kwargs)
+        assert res.iterations == iterations
+        assert h.hexdigest() == digest

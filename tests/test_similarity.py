@@ -478,6 +478,25 @@ def test_ngf_field_is_subunit(texture64):
     assert norm.min() >= 0.0
 
 
+@pytest.mark.parametrize("measure", ["SSD", "NCC", "NGF"])
+def test_gap_free_images_match_an_all_false_nodata_mask_bit_for_bit(measure, texture64):
+    r = texture64.with_values(np.roll(texture64.values, 3, axis=1))
+
+    def with_empty_mask(image):
+        # ScalarImage drops an all-false mask; set one after construction so
+        # the masked products run
+        out = image.with_values(image.values.copy())
+        out.nodata = np.zeros(image.geometry.shape, bool)
+        return out
+
+    plain = evaluate(measure, texture64, r, eta=0.05)
+    for t_mask, r_mask in ((True, False), (False, True), (True, True)):
+        t = with_empty_mask(texture64) if t_mask else texture64
+        masked = evaluate(measure, t, with_empty_mask(r) if r_mask else r, eta=0.05)
+        assert masked.value == plain.value
+        assert masked.d_warped.tobytes() == plain.d_warped.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
