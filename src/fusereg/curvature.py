@@ -20,6 +20,7 @@ values transferable across pyramid levels.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,9 +49,16 @@ def bilaplacian(u: DisplacementField) -> DisplacementField:
     return DisplacementField(u.geometry, bx, by)
 
 
-# ((h, w, c), read-only eigenvalue factor) of the latest neumann_solve:
 # one slot is one level's constant
-_neumann_factor = (None, None)
+@functools.lru_cache(maxsize=1)
+def _neumann_factor(h: int, w: int, c: float) -> np.ndarray:
+    """Read-only eigenvalue factor 1 / (1 + c lam^2) of :func:`neumann_solve`."""
+    ly = -4.0 * np.sin(np.pi * np.arange(h) / (2.0 * h)) ** 2
+    lx = -4.0 * np.sin(np.pi * np.arange(w) / (2.0 * w)) ** 2
+    lam = ly[:, None] + lx[None, :]
+    factor = 1.0 / (1.0 + c * lam * lam)
+    factor.flags.writeable = False
+    return factor
 
 
 def neumann_solve(values: np.ndarray, c: float) -> np.ndarray:
@@ -64,18 +72,8 @@ def neumann_solve(values: np.ndarray, c: float) -> np.ndarray:
     the solve is an O(n log n) preconditioner for the dropped-boundary
     operator, not its inverse.
     """
-    global _neumann_factor
-    h, w = values.shape[-2:]
-    key, factor = _neumann_factor
-    if key != (h, w, c):
-        ly = -4.0 * np.sin(np.pi * np.arange(h) / (2.0 * h)) ** 2
-        lx = -4.0 * np.sin(np.pi * np.arange(w) / (2.0 * w)) ** 2
-        lam = ly[:, None] + lx[None, :]
-        factor = 1.0 / (1.0 + c * lam * lam)
-        factor.flags.writeable = False
-        _neumann_factor = ((h, w, c), factor)
     coeffs = dctn(values, type=2, norm="ortho", axes=(-2, -1))
-    coeffs *= factor
+    coeffs *= _neumann_factor(*values.shape[-2:], c)
     return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 

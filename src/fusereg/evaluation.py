@@ -26,6 +26,7 @@ from .grid import (
     GridGeometry,
     ScalarImage,
     _pixel_grid,
+    _require_same_shape,
     normalize_intensity,
     warp,
 )
@@ -183,6 +184,7 @@ def endpoint_error(
 
 def mean_abs_difference(a: ScalarImage, b: ScalarImage, mask: np.ndarray | None = None) -> float:
     """Mean |a - b| over the joint valid mask (optionally intersected)."""
+    _require_same_shape(a.geometry, b.geometry, "mean_abs_difference")
     m = a.valid_mask & b.valid_mask
     if mask is not None:
         m = m & mask
@@ -209,23 +211,13 @@ def registration_summary(template, reference, u, trace):
 
 def difference_map(a: ScalarImage, b: ScalarImage) -> ScalarImage:
     """|a - b| with the union of the nodata masks."""
-    if a.geometry.shape != b.geometry.shape:
-        raise ParameterError("images live on different grids")
-    mask = None
-    if a.nodata is not None or b.nodata is not None:
-        mask = ~(a.valid_mask & b.valid_mask)
-        if not mask.any():
-            mask = None
-    vals = np.abs(a.values - b.values)
-    if mask is not None:
-        vals = np.where(mask, 0.0, vals)
-    return ScalarImage(a.geometry, vals, mask)
+    _require_same_shape(a.geometry, b.geometry, "difference_map")
+    return ScalarImage(a.geometry, np.abs(a.values - b.values), ~(a.valid_mask & b.valid_mask))
 
 
 def checkerboard(a: ScalarImage, b: ScalarImage, tiles: int = 8) -> ScalarImage:
     """Alternating blocks of the two images for visual alignment checks."""
-    if a.geometry.shape != b.geometry.shape:
-        raise ParameterError("images live on different grids")
+    _require_same_shape(a.geometry, b.geometry, "checkerboard")
     if tiles < 1:
         raise ParameterError("tiles must be >= 1")
     h, w = a.geometry.shape
@@ -234,8 +226,7 @@ def checkerboard(a: ScalarImage, b: ScalarImage, tiles: int = 8) -> ScalarImage:
     cell_w = max(w // tiles, 1)
     take_a = ((ys // cell_h) + (xs // cell_w)) % 2 == 0
     vals = np.where(take_a, a.values, b.values)
-    mask = np.where(take_a, ~a.valid_mask, ~b.valid_mask)
-    return ScalarImage(a.geometry, vals, mask if mask.any() else None)
+    return ScalarImage(a.geometry, vals, np.where(take_a, ~a.valid_mask, ~b.valid_mask))
 
 
 # ---------------------------------------------------------------------------

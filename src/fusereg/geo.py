@@ -226,9 +226,8 @@ def rasterize_lidar(
     sums = np.bincount(idx, weights=cloud.intensity[inside], minlength=n_cells)
     counts = np.bincount(idx, minlength=n_cells)
     empty = counts == 0
-    values = (sums / np.where(empty, 1, counts)).reshape(geometry.shape)
-    mask = empty.reshape(geometry.shape)
-    return ScalarImage(geometry, np.where(mask, 0.0, values), mask if mask.any() else None)
+    values = sums / np.where(empty, 1, counts)
+    return ScalarImage(geometry, values.reshape(geometry.shape), empty.reshape(geometry.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +263,12 @@ class HyperspectralCube:
         return cls(geometry, np.asarray(wavelengths), images)
 
     def to_raster(self, path):
-        mask = None
-        for b in self.bands:
-            if b.nodata is not None:
-                mask = b.nodata if mask is None else (mask | b.nodata)
         raster_io.write_raster(
             path,
             self.geometry,
             [b.values for b in self.bands],
             wavelengths=list(self.wavelengths),
-            nodata_mask=mask,
+            nodata_mask=~np.logical_and.reduce([b.valid_mask for b in self.bands]),
         )
 
 
@@ -291,14 +286,8 @@ def rgb_composite(cube: HyperspectralCube):
 def grey_composite(cube: HyperspectralCube) -> ScalarImage:
     """Unweighted mean of the RGB composite channels."""
     r, g, b = rgb_composite(cube)
-    mask = None
-    for im in (r, g, b):
-        if im.nodata is not None:
-            mask = im.nodata if mask is None else (mask | im.nodata)
-    vals = (r.values + g.values + b.values) / 3.0
-    if mask is not None:
-        vals = np.where(mask, 0.0, vals)
-    return ScalarImage(cube.geometry, vals, mask)
+    valid = r.valid_mask & g.valid_mask & b.valid_mask
+    return ScalarImage(cube.geometry, (r.values + g.values + b.values) / 3.0, ~valid)
 
 
 def resample_cube(cube: HyperspectralCube, geometry: GridGeometry) -> HyperspectralCube:
@@ -431,9 +420,8 @@ def crop_to_footprint(image: ScalarImage, fp: Footprint) -> ScalarImage:
         origin_easting=g.origin_easting + c0 * g.spacing_x,
         origin_northing=g.origin_northing + r0 * g.spacing_y,
     )
-    vals = image.values[r0 : r1 + 1, c0 : c1 + 1]
-    nod = None if image.nodata is None else image.nodata[r0 : r1 + 1, c0 : c1 + 1]
-    return ScalarImage(sub, vals.copy(), None if nod is None else nod.copy())
+    rows, cols = slice(r0, r1 + 1), slice(c0, c1 + 1)
+    return ScalarImage(sub, image.values[rows, cols].copy(), ~image.valid_mask[rows, cols])
 
 
 def crop_to_overlap(a: ScalarImage, b: ScalarImage):
@@ -528,7 +516,7 @@ def mosaic(tiles):
         values[sl] = np.where(valid, img.values, values[sl])
         owner_block = owner[sl]
         owner[sl] = np.where(valid, i, owner_block)
-    composite = ScalarImage(geometry, values, owner < 0 if (owner < 0).any() else None)
+    composite = ScalarImage(geometry, values, owner < 0)
 
     # seam statistics over 4-neighbour pairs with different owners
     pair_stats = {}

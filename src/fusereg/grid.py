@@ -13,6 +13,7 @@ Conventions used throughout the toolbox:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,9 +100,11 @@ def _as_float_array(values, shape, name):
 class ScalarImage:
     """Single-band image on a :class:`GridGeometry`.
 
-    ``nodata`` marks pixels without valid data (True = invalid).  Masked
-    entries are stored as 0 so that downstream arithmetic never touches
-    sentinel garbage.
+    ``nodata`` marks pixels without valid data (True = invalid).  Two rules
+    hold for every image, so producers pass their raw values and mask:
+    masked samples are stored as +0.0, so downstream arithmetic never
+    touches sentinel garbage, and a mask that marks nothing is stored as
+    None, so ``nodata is None`` means the image has no gaps.
     """
 
     geometry: GridGeometry
@@ -131,9 +134,9 @@ class ScalarImage:
             return np.ones(self.geometry.shape, dtype=bool)
         return ~self.nodata
 
-    def with_values(self, values, nodata="keep") -> "ScalarImage":
-        if isinstance(nodata, str) and nodata == "keep":
-            nodata = None if self.nodata is None else self.nodata.copy()
+    def with_values(self, values) -> "ScalarImage":
+        """New values on the same grid, under a copy of the nodata mask."""
+        nodata = None if self.nodata is None else self.nodata.copy()
         return ScalarImage(self.geometry, values, nodata)
 
 
@@ -281,21 +284,17 @@ def sample(image: ScalarImage, x: float, y: float, mode: str = "bilinear"):
     return float(v[0]), True
 
 
-# ((h, w), read-only (xs, ys)) of the latest _pixel_grid: one slot is one
-# level's constant
-_pixel_grid_memo = (None, None)
+# one slot is one level's constant
+@functools.lru_cache(maxsize=1)
+def _pixel_coordinates(height: int, width: int):
+    ys, xs = np.mgrid[0.0:height, 0.0:width]
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def _pixel_grid(geometry: GridGeometry):
     """Read-only column and row coordinates ``(xs, ys)`` of every pixel."""
-    global _pixel_grid_memo
-    shape, grid = _pixel_grid_memo
-    if shape != geometry.shape:
-        ys, xs = np.mgrid[0.0 : geometry.height, 0.0 : geometry.width]
-        xs.flags.writeable = ys.flags.writeable = False
-        grid = (xs, ys)
-        _pixel_grid_memo = (geometry.shape, grid)
-    return grid
+    return _pixel_coordinates(*geometry.shape)
 
 
 def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> ScalarImage:
@@ -309,7 +308,7 @@ def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> Sc
     px = xs - u.u_x
     py = ys - u.u_y
     v, bad = _sample_arrays(image, px, py, mode)
-    return ScalarImage(u.geometry, v, bad if bad.any() else None)
+    return ScalarImage(u.geometry, v, bad)
 
 
 def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
@@ -431,31 +430,20 @@ def laplacian(image: ScalarImage) -> ScalarImage:
 # pyramid
 
 
-def _box_downsample(values: np.ndarray, valid: np.ndarray | None):
-    """2x2 box mean with ragged edge blocks averaged over present cells."""
-    h, w = values.shape
+def downsample(image: ScalarImage) -> ScalarImage:
+    """One pyramid step onto the coarsened geometry: the mean of the valid
+    cells of each 2x2 block (fewer at a ragged edge); a block without one
+    is nodata.  Masked samples are 0, so the block sums of the values are
+    those of the valid cells, and the valid counts are small exact integers."""
+    h, w = image.geometry.shape
     ri = np.arange(0, h, 2)
     ci = np.arange(0, w, 2)
-    if valid is None:
-        vs = np.add.reduceat(np.add.reduceat(values, ri, axis=0), ci, axis=1)
-        rows = np.minimum(ri + 2, h) - ri
-        cols = np.minimum(ci + 2, w) - ci
-        cnt = np.outer(rows, cols).astype(np.float64)
-        return vs / cnt, None
-    vf = valid.astype(np.float64)
-    vs = np.add.reduceat(np.add.reduceat(values * vf, ri, axis=0), ci, axis=1)
-    cnt = np.add.reduceat(np.add.reduceat(vf, ri, axis=0), ci, axis=1)
-    empty = cnt == 0.0
-    out = vs / np.where(empty, 1.0, cnt)
-    return np.where(empty, 0.0, out), (empty if empty.any() else None)
-
-
-def downsample(image: ScalarImage) -> ScalarImage:
-    """One pyramid step: 2x2 averaging onto the coarsened geometry."""
-    g = image.geometry.coarsened()
-    valid = None if image.nodata is None else ~image.nodata
-    vals, empty = _box_downsample(image.values, valid)
-    return ScalarImage(g, vals, empty)
+    sums, counts = (
+        np.add.reduceat(np.add.reduceat(a, ri, axis=0), ci, axis=1)
+        for a in (image.values, image.valid_mask.astype(np.float64))
+    )
+    empty = counts == 0.0
+    return ScalarImage(image.geometry.coarsened(), sums / np.where(empty, 1.0, counts), empty)
 
 
 def build_pyramid(image: ScalarImage, max_levels: int = 8) -> list[ScalarImage]:
@@ -526,10 +514,7 @@ def normalize_intensity(image: ScalarImage) -> ScalarImage:
         raise DegenerateImageError(
             "intensity range %.3g is too small to normalize" % (hi - lo)
         )
-    out = (image.values - lo) / (hi - lo)
-    if image.nodata is not None:
-        out = np.where(image.nodata, 0.0, out)
-    return image.with_values(out)
+    return image.with_values((image.values - lo) / (hi - lo))
 
 
 def _check_normalized(image: ScalarImage, what: str):
@@ -554,7 +539,7 @@ def resample_to_geometry(
     e, n = geometry.pixel_to_world(xs, ys)
     px, py = image.geometry.world_to_pixel(e, n)
     v, bad = _sample_arrays(image, px, py, mode)
-    return ScalarImage(geometry, np.where(bad, 0.0, v), bad if bad.any() else None)
+    return ScalarImage(geometry, v, bad)
 
 
 def displacement_to_geometry(

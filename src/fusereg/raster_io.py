@@ -187,7 +187,7 @@ def read_image(path) -> ScalarImage:
     geometry, bands, _, mask = read_raster(path)
     if len(bands) != 1:
         raise FormatError("%s: expected a single band, found %d" % (path, len(bands)))
-    return ScalarImage(geometry, np.where(mask, 0.0, bands[0]) if mask is not None else bands[0], mask)
+    return ScalarImage(geometry, bands[0], mask)
 
 
 def write_field(path, u: DisplacementField):

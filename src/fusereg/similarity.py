@@ -46,19 +46,14 @@ class NgfField:
     n_y: np.ndarray
 
 
-def _joint_mask(template_w: ScalarImage, reference: ScalarImage) -> np.ndarray:
-    _require_same_shape(template_w.geometry, reference.geometry, "similarity")
-    return template_w.valid_mask & reference.valid_mask
-
-
-def _gap_mask(template_w: ScalarImage, reference: ScalarImage) -> np.ndarray | None:
+def _joint_mask(template_w: ScalarImage, reference: ScalarImage) -> np.ndarray | None:
     """The joint valid mask, or None when neither image has nodata: then
     the mask is all true, and leaving it out of the products changes no
     value."""
+    _require_same_shape(template_w.geometry, reference.geometry, "similarity")
     if template_w.nodata is None and reference.nodata is None:
-        _require_same_shape(template_w.geometry, reference.geometry, "similarity")
         return None
-    return _joint_mask(template_w, reference)
+    return template_w.valid_mask & reference.valid_mask
 
 
 def _zero_outside(m: np.ndarray | None, values: np.ndarray) -> np.ndarray:
@@ -67,7 +62,7 @@ def _zero_outside(m: np.ndarray | None, values: np.ndarray) -> np.ndarray:
 
 def ssd(template_w: ScalarImage, reference: ScalarImage) -> SimilarityResult:
     """Sum of squared differences, 0.5 * sum((T - R)^2) over valid pixels."""
-    m = _gap_mask(template_w, reference)
+    m = _joint_mask(template_w, reference)
     diff = _zero_outside(m, template_w.values - reference.values)
     value = 0.5 * float(np.sum(diff * diff))
     return SimilarityResult(value, diff)
@@ -79,7 +74,7 @@ def ncc(template_w: ScalarImage, reference: ScalarImage) -> SimilarityResult:
     Invariant under affine intensity rescaling of either input; constant
     images have no defined correlation and are rejected.
     """
-    m = _gap_mask(template_w, reference)
+    m = _joint_mask(template_w, reference)
     n = float(template_w.values.size if m is None else np.count_nonzero(m))
     if n < 2:
         raise DegenerateImageError("correlation needs at least two valid pixels")
@@ -275,33 +270,30 @@ def mi(
     ``parzen_sigma = 0`` pixels are assigned to the nearest bin and the
     derivative is zero almost everywhere.
     """
-    return _mi(template_w, reference, bins, parzen_sigma, None)
+    return evaluate("MI", template_w, reference, mi_bins=bins, mi_parzen_sigma=parzen_sigma)
 
 
 def _mi(template_w, reference, bins, parzen_sigma, band):
-    """:func:`mi`, optionally with the band of the reference's valid pixels
-    built beforehand by :func:`level_reference`, which also checked the
-    parameters and the reference.  The band serves while the template has
-    no gaps; otherwise it is rebuilt over the joint mask."""
-    if band is None:
-        check_mi_parameters(bins, parzen_sigma)
-        _check_normalized(reference, "reference")
+    """:func:`mi` with the reference side built by :func:`level_reference`,
+    which checked the parameters and the reference.  Its band of the
+    reference's valid pixels serves while the template has no gaps;
+    otherwise, and for the hard histogram of ``parzen_sigma = 0`` (no
+    band), the pixels are those of the joint mask."""
     _check_normalized(template_w, "template")
+    _require_same_shape(template_w.geometry, reference.geometry, "similarity")
     if band is None or template_w.nodata is not None:
-        m = _joint_mask(template_w, reference)
-        if not m.any():
-            raise DegenerateImageError("no overlapping valid pixels")
+        m = template_w.valid_mask & reference.valid_mask
         if parzen_sigma == 0.0:
+            if not m.any():
+                raise DegenerateImageError("no overlapping valid pixels")
             jt = np.rint(_bin_coordinates(template_w.values[m], bins)).astype(np.int64)
             jr = np.rint(_bin_coordinates(reference.values[m], bins)).astype(np.int64)
             joint = np.bincount(jt * bins + jr, minlength=bins * bins).astype(np.float64)
             value = -_histogram_mi(joint.reshape(bins, bins) / jt.size)
             return SimilarityResult(value, np.zeros(template_w.geometry.shape))
         band = ParzenBand.build(reference, m, bins, parzen_sigma)
-    else:
-        _require_same_shape(template_w.geometry, reference.geometry, "similarity")
-        if band.index.size == 0:
-            raise DegenerateImageError("no overlapping valid pixels")
+    if band.index.size == 0:
+        raise DegenerateImageError("no overlapping valid pixels")
     # one gather of the template in band order, one scatter of the derivative
     t = _bin_coordinates(template_w.values.ravel()[band.index], bins)
     value, grad = _band_mi(t, band)
@@ -352,17 +344,14 @@ def ngf(template_w: ScalarImage, reference: ScalarImage, eta: float) -> Similari
     the dominant term).  The measure rewards parallel or anti-parallel
     image gradients regardless of intensity scale.
     """
-    return _ngf(template_w, reference, eta, None)
+    return evaluate("NGF", template_w, reference, eta=eta)
 
 
 def _ngf(template_w, reference, eta, field):
-    """:func:`ngf`, optionally with the reference's field built beforehand
-    (see :func:`_gap_mask` for the mask)."""
-    m = _gap_mask(template_w, reference)
+    """:func:`ngf` with the reference's field built by :func:`level_reference`."""
+    m = _joint_mask(template_w, reference)
     mf = None if m is None else m.astype(np.float64)
     _, _, scale_t, nt_x, nt_y = _ngf_parts(template_w, eta)
-    if field is None:
-        field = ngf_field(reference, eta)
     nr_x, nr_y = field.n_x, field.n_y
     rho = nt_x * nr_x + nt_y * nr_y
     rho2 = rho * rho if mf is None else mf * rho * rho
@@ -403,7 +392,9 @@ def level_reference(
     """Build what ``measure`` needs of the reference before the first
     evaluation: for MI the checked parameters and the Parzen band of the
     reference's valid pixels, with their flat indices in band order; for
-    NGF the gradient direction field."""
+    NGF the gradient direction field.  :func:`evaluate` builds one for a
+    plain reference image, so this is the one place that checks and
+    builds the reference side."""
     if measure not in MEASURES:
         raise ParameterError("unknown measure %r" % measure)
     band = field = None
@@ -427,20 +418,19 @@ def evaluate(
 ) -> SimilarityResult:
     """Dispatch a measure by name (SSD / NCC / MI / NGF).
 
-    ``reference`` is an image or a :class:`LevelReference` built for the
-    same measure and parameters.
+    ``reference`` is a :class:`LevelReference` built for the same measure
+    and parameters, or an image, for which one is built here.
     """
-    band = field = None
-    if isinstance(reference, LevelReference):
-        if reference.parameters != (measure, eta, mi_bins, mi_parzen_sigma):
-            raise ParameterError("reference was built for other measure parameters")
-        band, field, reference = reference.mi_band, reference.ngf_field, reference.image
+    parameters = (measure, eta, mi_bins, mi_parzen_sigma)
+    if not isinstance(reference, LevelReference):
+        reference = level_reference(reference, *parameters)
+    elif reference.parameters != parameters:
+        raise ParameterError("reference was built for other measure parameters")
+    image = reference.image
     if measure == "SSD":
-        return ssd(template_w, reference)
+        return ssd(template_w, image)
     if measure == "NCC":
-        return ncc(template_w, reference)
+        return ncc(template_w, image)
     if measure == "MI":
-        return _mi(template_w, reference, mi_bins, mi_parzen_sigma, band)
-    if measure == "NGF":
-        return _ngf(template_w, reference, eta, field)
-    raise ParameterError("unknown measure %r" % measure)
+        return _mi(template_w, image, mi_bins, mi_parzen_sigma, reference.mi_band)
+    return _ngf(template_w, image, eta, reference.ngf_field)

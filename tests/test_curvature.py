@@ -244,8 +244,9 @@ def test_neumann_solve_memo_gives_the_bytes_of_a_fresh_solve(rng):
     assert neumann_solve(w, c1).tobytes() == _neumann_reference(w, c1).tobytes()
     assert neumann_solve(v, c1).tobytes() == _neumann_reference(v, c1).tobytes()
     assert v.tobytes() == kept.tobytes()
-    (key, factor) = curvature._neumann_factor
-    assert key == (20, 24, c1)
+    hits = curvature._neumann_factor.cache_info().hits
+    factor = curvature._neumann_factor(20, 24, c1)
+    assert curvature._neumann_factor.cache_info().hits == hits + 1
     assert not factor.flags.writeable
     with pytest.raises(ValueError):
         factor[0, 0] = 0.0

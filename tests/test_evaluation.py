@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fusereg.affine import AffineParams
-from fusereg.errors import ParameterError
+from fusereg.errors import GeometryError, ParameterError
 from fusereg.evaluation import (
     ExperimentScenario,
     MetricReport,
@@ -235,6 +235,14 @@ def test_checkerboard_alternates_sources():
     assert cb.values[4, 4] == 0.0
     with pytest.raises(ParameterError):
         checkerboard(a, b, tiles=0)
+
+
+@pytest.mark.parametrize("helper", [mean_abs_difference, difference_map, checkerboard])
+def test_image_comparisons_reject_other_grids(helper, rng):
+    a = ScalarImage(GridGeometry(4, 4), rng.uniform(0, 1, (4, 4)))
+    b = ScalarImage(GridGeometry(2, 4), rng.uniform(0, 1, (4, 2)))
+    with pytest.raises(GeometryError, match="matching grids"):
+        helper(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,24 @@ def test_cube_raster_roundtrip(tmp_path):
         np.testing.assert_allclose(a.values, b.values.astype(np.float32), atol=0)
 
 
+def test_cube_raster_masks_the_union_of_the_band_masks(tmp_path):
+    cube = small_cube(n=6)
+    g = cube.geometry
+    masks = [np.zeros(g.shape, bool) for _ in cube.bands]
+    masks[0][0, 0] = True
+    masks[2][3, 4] = True
+    cube = HyperspectralCube(
+        g, cube.wavelengths, [ScalarImage(g, b.values, m) for b, m in zip(cube.bands, masks)]
+    )
+    p = tmp_path / "cube.raster"
+    cube.to_raster(p)
+    back = HyperspectralCube.from_raster(p)
+    for band in back.bands:
+        assert np.array_equal(band.nodata, masks[0] | masks[2])
+    small_cube(n=6).to_raster(p)
+    assert all(band.nodata is None for band in HyperspectralCube.from_raster(p).bands)
+
+
 def test_cube_from_raster_needs_wavelengths(tmp_path):
     from fusereg.raster_io import write_raster
 

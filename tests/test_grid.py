@@ -426,6 +426,58 @@ def test_downsample_propagates_empty_blocks():
     assert out.values[1, 1] == pytest.approx(1.0)  # mean over the 3 survivors
 
 
+def _two_path_box_mean(values, valid):
+    # downsample as first written: a block-count product for gap-free
+    # images, masked sums over valid counts otherwise
+    h, w = values.shape
+    ri = np.arange(0, h, 2)
+    ci = np.arange(0, w, 2)
+    if valid is None:
+        vs = np.add.reduceat(np.add.reduceat(values, ri, axis=0), ci, axis=1)
+        rows = np.minimum(ri + 2, h) - ri
+        cols = np.minimum(ci + 2, w) - ci
+        return vs / np.outer(rows, cols).astype(np.float64), None
+    vf = valid.astype(np.float64)
+    vs = np.add.reduceat(np.add.reduceat(values * vf, ri, axis=0), ci, axis=1)
+    cnt = np.add.reduceat(np.add.reduceat(vf, ri, axis=0), ci, axis=1)
+    empty = cnt == 0.0
+    out = np.where(empty, 0.0, vs / np.where(empty, 1.0, cnt))
+    return out, (empty if empty.any() else None)
+
+
+def _full_block_and_ragged_corner(shape, rng):
+    mask = np.zeros(shape, bool)
+    mask[2:4, 0:2] = True
+    mask[-1, -1] = True  # the 1x1 corner block of an odd grid
+    return mask
+
+
+@pytest.mark.parametrize(
+    "shape,make_mask",
+    [
+        ((8, 6), None),
+        ((7, 9), None),
+        ((9, 7), lambda shape, rng: rng.uniform(size=shape) < 0.3),
+        ((6, 8), lambda shape, rng: rng.uniform(size=shape) < 0.3),
+        ((7, 5), _full_block_and_ragged_corner),
+    ],
+    ids=["gap-free", "gap-free-odd", "scattered-odd", "scattered", "full-block"],
+)
+def test_downsample_matches_the_two_path_box_mean_bit_for_bit(shape, make_mask, rng):
+    g = GridGeometry(shape[1], shape[0])
+    mask = None if make_mask is None else make_mask(shape, rng)
+    img = ScalarImage(g, rng.normal(size=shape), mask)
+    want, want_empty = _two_path_box_mean(img.values, None if mask is None else img.valid_mask)
+    out = downsample(img)
+    assert out.values.tobytes() == want.tobytes()
+    if want_empty is None:
+        assert out.nodata is None
+    else:
+        assert np.array_equal(out.nodata, want_empty)
+    if make_mask is _full_block_and_ragged_corner:
+        assert out.nodata[1, 0] and out.nodata[-1, -1]
+
+
 def test_build_pyramid_rejects_bad_levels(geom16):
     with pytest.raises(ParameterError):
         build_pyramid(ScalarImage(geom16, np.zeros(geom16.shape)), max_levels=0)

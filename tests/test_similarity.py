@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from fusereg import similarity
 from fusereg.errors import DegenerateImageError, IntensityRangeError, ParameterError
 from fusereg.grid import GridGeometry, ScalarImage
 from fusereg.similarity import (
@@ -277,7 +278,7 @@ def masked_pair(rng):
 def test_mi_matches_tap_by_tap_oracle(masked_pair, bins, sigma):
     t, r = masked_pair
     level = level_reference(r, "MI", mi_bins=bins, mi_parzen_sigma=sigma)
-    for tpl in (t, t.with_values(t.values, nodata=None)):
+    for tpl in (t, ScalarImage(t.geometry, t.values)):
         want_value, want_grad = _mi_oracle(tpl, r, bins, sigma)
         res = mi(tpl, r, bins=bins, parzen_sigma=sigma)
         assert res.value == pytest.approx(want_value, rel=1e-12)
@@ -293,7 +294,7 @@ def test_mi_matches_tap_by_tap_oracle(masked_pair, bins, sigma):
 
 def test_level_reference_matches_plain_images(masked_pair):
     t, r = masked_pair
-    gap_free = t.with_values(t.values, nodata=None)
+    gap_free = ScalarImage(t.geometry, t.values)
     shifted = gap_free.with_values(np.roll(gap_free.values, 3, axis=1))
     for measure in MEASURES:
         level = level_reference(r, measure, eta=0.05, mi_bins=32, mi_parzen_sigma=0.7)
@@ -309,6 +310,46 @@ def test_level_reference_matches_plain_images(masked_pair):
         evaluate("MI", t, level, mi_bins=16)
     with pytest.raises(ParameterError):
         evaluate("NGF", t, level)
+
+
+def test_level_reference_is_the_one_owner_of_the_reference_side(masked_pair, monkeypatch):
+    t, r = masked_pair
+    gap_free = ScalarImage(t.geometry, t.values)
+    calls = collections.Counter()
+    check, field = similarity.check_mi_parameters, similarity.ngf_field
+
+    def spy_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def spy_field(*args):
+        calls["field"] += 1
+        return field(*args)
+
+    monkeypatch.setattr(similarity, "check_mi_parameters", spy_check)
+    monkeypatch.setattr(similarity, "ngf_field", spy_field)
+    plain = [
+        (lambda tpl: mi(tpl, r), "check"),
+        (lambda tpl: evaluate("MI", tpl, r), "check"),
+        (lambda tpl: ngf(tpl, r, 0.1), "field"),
+        (lambda tpl: evaluate("NGF", tpl, r), "field"),
+    ]
+    for call, owner in plain:
+        for tpl in (t, gap_free):
+            calls.clear()
+            call(tpl)
+            assert calls == {owner: 1}
+    levels = {m: level_reference(r, m) for m in ("MI", "NGF")}
+    calls.clear()
+    for tpl in (t, gap_free):
+        for measure, level in levels.items():
+            evaluate(measure, tpl, level)
+    assert not calls
+    # a template with gaps rebuilds the band over the joint mask, as the
+    # plain call does
+    want = evaluate("MI", t, levels["MI"])
+    got = mi(t, r)
+    assert got.value == want.value and got.d_warped.tobytes() == want.d_warped.tobytes()
 
 
 def _whole_histogram_mi(t_vals, r_vals, bins, sigma):
