@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -47,18 +47,6 @@ log = logging.getLogger("fusereg")
 PRESETS = {
     "hs-to-lidar": {"alpha": 5000.0, "eta": 0.1},
     "photo-to-hs": {"alpha": 1.5e5, "eta": 0.03},
-}
-
-# registration flag (argparse dest) -> RegistrationConfig field
-CONFIG_FLAGS = {
-    "measure": "measure",
-    "alpha": "alpha",
-    "eta": "eta",
-    "solver": "solver",
-    "levels": "max_levels",
-    "max_iters": "max_iters_per_level",
-    "tol": "rel_tolerance",
-    "dt": "dt",
 }
 
 USAGE_EXIT = 2
@@ -106,22 +94,24 @@ def _registration_flags(parser):
         choices=SOLVERS,
         help="non-parametric solver (default l-bfgs)",
     )
-    parser.add_argument("--levels", type=int, help="pyramid levels (default 4)")
-    parser.add_argument("--max-iters", type=int, help="iteration cap per level")
-    parser.add_argument("--tol", type=float, help="relative objective tolerance")
+    # each dest is the RegistrationConfig field the flag sets
+    parser.add_argument("--levels", dest="max_levels", type=int, help="pyramid levels (default 4)")
+    parser.add_argument(
+        "--max-iters", dest="max_iters_per_level", type=int, help="iteration cap per level"
+    )
+    parser.add_argument(
+        "--tol", dest="rel_tolerance", type=float, help="relative objective tolerance"
+    )
     parser.add_argument("--dt", type=float, help="semi-implicit time step")
 
 
-def _build_config(args, alpha_override=None) -> RegistrationConfig:
+def _build_config(args) -> RegistrationConfig:
     """Dataclass defaults, then the preset, then every flag that was given."""
     values = dict(PRESETS.get(args.preset, {}))
-    for flag, name in CONFIG_FLAGS.items():
-        if getattr(args, flag) is not None:
-            values[name] = getattr(args, flag)
-    cfg = RegistrationConfig(**values)
-    if alpha_override is not None:
-        cfg = replace(cfg, alpha=alpha_override)
-    return cfg
+    for f in fields(RegistrationConfig):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    return RegistrationConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +207,7 @@ def _parse_tile_spec(spec: str):
 
 
 def cmd_mosaic(args):
-    registration = asdict(_build_config(args))  # rejects bad flags before any output
+    base = _build_config(args)  # rejects bad flags before any output
     specs = [_parse_tile_spec(s) for s in args.tile]
     needs_ref = any(alpha is not None for _, alpha in specs)
     if needs_ref and args.ref is None:
@@ -230,10 +220,9 @@ def cmd_mosaic(args):
         tile_id = os.path.splitext(os.path.basename(path))[0]
         tile = normalize_intensity(raster_io.read_image(path))
         if alpha is not None:
-            cfg = _build_config(args, alpha_override=alpha)
             crop_tile, crop_ref = geo.crop_to_overlap(tile, reference)
             on_ref = resample_to_geometry(crop_tile, crop_ref.geometry)
-            u, _ = register_multilevel(on_ref, crop_ref, cfg)
+            u, _ = register_multilevel(on_ref, crop_ref, replace(base, alpha=alpha))
             u_tile = displacement_to_geometry(u, tile.geometry)
             tile = warp(tile, u_tile)
             log.info("re-registered tile %s with alpha=%g", tile_id, alpha)
@@ -248,10 +237,8 @@ def cmd_mosaic(args):
         for rec in seams:
             fh.write(rec.to_text() + "\n")
     cfg_entry = {
-        "tiles": [
-            {"path": p, "alpha": a} for p, a in specs
-        ],
-        "registration": registration,
+        "tiles": [{"path": p, "alpha": a} for p, a in specs],
+        "registration": asdict(base),
     }
     log.info("mosaic of %d tiles, %d seam interfaces", len(tiles), len(seams))
     return {"tiles": [p for p, _ in specs], "ref": args.ref}, outputs, cfg_entry

@@ -37,6 +37,9 @@ class GridGeometry:
     origin_northing: float = 0.0
 
     def __post_init__(self):
+        for size in (self.width, self.height):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise GeometryError("grid width and height must be integers, got %r" % (size,))
         if self.width < 2 or self.height < 2:
             raise GeometryError(
                 "grid must be at least 2x2, got %dx%d" % (self.width, self.height)
@@ -104,7 +107,8 @@ class ScalarImage:
     hold for every image, so producers pass their raw values and mask:
     masked samples are stored as +0.0, so downstream arithmetic never
     touches sentinel garbage, and a mask that marks nothing is stored as
-    None, so ``nodata is None`` means the image has no gaps.
+    None, so ``nodata is None`` means the image has no gaps.  The image
+    stores a read-only copy of the mask, so no two images share one.
     """
 
     geometry: GridGeometry
@@ -114,11 +118,13 @@ class ScalarImage:
     def __post_init__(self):
         self.values = _as_float_array(self.values, self.geometry.shape, "values")
         if self.nodata is not None:
-            self.nodata = np.asarray(self.nodata, dtype=bool)
+            self.nodata = np.array(self.nodata, dtype=bool)
             if self.nodata.shape != self.geometry.shape:
                 raise GeometryError("nodata mask shape does not match grid")
             if not self.nodata.any():
                 self.nodata = None
+            else:
+                self.nodata.flags.writeable = False
         if self.nodata is not None:
             self.values = np.where(self.nodata, 0.0, self.values)
             valid = self.values[~self.nodata]
@@ -135,9 +141,8 @@ class ScalarImage:
         return ~self.nodata
 
     def with_values(self, values) -> "ScalarImage":
-        """New values on the same grid, under a copy of the nodata mask."""
-        nodata = None if self.nodata is None else self.nodata.copy()
-        return ScalarImage(self.geometry, values, nodata)
+        """New values on the same grid and under the same nodata mask."""
+        return ScalarImage(self.geometry, values, self.nodata)
 
 
 @dataclass
@@ -286,15 +291,11 @@ def sample(image: ScalarImage, x: float, y: float, mode: str = "bilinear"):
 
 # one slot is one level's constant
 @functools.lru_cache(maxsize=1)
-def _pixel_coordinates(height: int, width: int):
-    ys, xs = np.mgrid[0.0:height, 0.0:width]
-    xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys
-
-
 def _pixel_grid(geometry: GridGeometry):
     """Read-only column and row coordinates ``(xs, ys)`` of every pixel."""
-    return _pixel_coordinates(*geometry.shape)
+    ys, xs = np.mgrid[0.0:geometry.height, 0.0:geometry.width]
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> ScalarImage:

@@ -206,9 +206,20 @@ class ParzenBand:
         return cls(bins, sigma, index, tuple(chunks))
 
 
-def _band_mi(t: np.ndarray, band: ParzenBand):
+def _joint_mi(joint: np.ndarray):
+    """-MI of a normalized joint histogram, and the log-ratio of the joint
+    to the product of its marginals (0 where the joint is 0)."""
+    pos = joint > 0.0
+    log_ratio = np.zeros(joint.shape)
+    log_ratio[pos] = np.log(joint[pos] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[pos])
+    return -float(np.sum(joint[pos] * log_ratio[pos])), log_ratio
+
+
+def _band_mi(t: np.ndarray, band: ParzenBand, keep: np.ndarray | None):
     """-MI of template bin coordinates ``t`` (in ``band`` order) against the
-    reference band, and its derivative with respect to ``t``.
+    reference band, and its derivative with respect to ``t``.  ``keep``
+    (None: all) marks the entries that count; the others, the template's
+    gaps, get zero windows and a zero derivative.
 
     Per chunk, the template windows are scattered into a dense block T,
     only as wide as the chunk's template bins span, and the joint
@@ -222,12 +233,16 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
     taps = 2 * radius + 1
     width = bins + 2 * radius
     inner = slice(radius, radius + bins)
-    n = t.size
+    n = t.size if keep is None else int(np.count_nonzero(keep))
+    if n == 0:
+        raise DegenerateImageError("no overlapping valid pixels")
     t_chunks = []  # per chunk: T's first column and width, window slots, window derivative
     scratch = np.empty(MI_CHUNK * width)  # T per chunk, then G per chunk
     joint = np.zeros((width, width))
     for lo, hi, first, r_block in band.chunks:
         start, w, dw = _parzen_weights(t[lo:hi], bins, sigma)
+        if keep is not None:
+            w *= keep[lo:hi]
         t_first = int(start.min())
         span = int(start.max()) - t_first + taps
         t_rows = scratch[: (hi - lo) * span].reshape(hi - lo, span)
@@ -237,23 +252,18 @@ def _band_mi(t: np.ndarray, band: ParzenBand):
         joint[t_first : t_first + span, first : first + r_block.shape[1]] += t_rows.T @ r_block
         t_chunks.append((t_first, span, slots, dw))
 
-    joint = joint[inner, inner] / n
-    p_t = joint.sum(axis=1)
-    p_r = joint.sum(axis=0)
-    pos = joint > 0.0
+    value, ratio = _joint_mi(joint[inner, inner] / n)
     log_ratio = np.zeros((width, width))
-    inner_ratio = log_ratio[inner, inner]
-    inner_ratio[pos] = np.log(joint[pos] / np.outer(p_t, p_r)[pos])
-    value = -float(np.sum(joint[pos] * inner_ratio[pos]))
+    log_ratio[inner, inner] = ratio
 
-    grad = np.empty(n)
+    grad = np.empty(t.size)
     for (lo, hi, first, r_block), (t_first, span, slots, dw) in zip(band.chunks, t_chunks):
         g = scratch[: (hi - lo) * span].reshape(hi - lo, span)
         ratio = log_ratio[t_first : t_first + span, first : first + r_block.shape[1]]
         np.matmul(r_block, ratio.T, out=g)
         grad[lo:hi] = np.einsum("ij,ji->j", dw, _windows(g, taps)[slots])
     grad *= -(bins - 1) / n
-    return value, grad
+    return value, grad if keep is None else np.where(keep, grad, 0.0)
 
 
 def mi(
@@ -275,40 +285,28 @@ def mi(
 
 def _mi(template_w, reference, bins, parzen_sigma, band):
     """:func:`mi` with the reference side built by :func:`level_reference`,
-    which checked the parameters and the reference.  Its band of the
-    reference's valid pixels serves while the template has no gaps;
-    otherwise, and for the hard histogram of ``parzen_sigma = 0`` (no
-    band), the pixels are those of the joint mask."""
+    which checked the parameters and the reference.  Its band holds the
+    reference's valid pixels, of which a template with gaps keeps those
+    of the joint mask; the hard histogram of ``parzen_sigma = 0`` (no
+    band) counts the joint mask's pixels."""
     _check_normalized(template_w, "template")
     _require_same_shape(template_w.geometry, reference.geometry, "similarity")
-    if band is None or template_w.nodata is not None:
+    if band is None:
         m = template_w.valid_mask & reference.valid_mask
-        if parzen_sigma == 0.0:
-            if not m.any():
-                raise DegenerateImageError("no overlapping valid pixels")
-            jt = np.rint(_bin_coordinates(template_w.values[m], bins)).astype(np.int64)
-            jr = np.rint(_bin_coordinates(reference.values[m], bins)).astype(np.int64)
-            joint = np.bincount(jt * bins + jr, minlength=bins * bins).astype(np.float64)
-            value = -_histogram_mi(joint.reshape(bins, bins) / jt.size)
-            return SimilarityResult(value, np.zeros(template_w.geometry.shape))
-        band = ParzenBand.build(reference, m, bins, parzen_sigma)
-    if band.index.size == 0:
-        raise DegenerateImageError("no overlapping valid pixels")
+        if not m.any():
+            raise DegenerateImageError("no overlapping valid pixels")
+        jt = np.rint(_bin_coordinates(template_w.values[m], bins)).astype(np.int64)
+        jr = np.rint(_bin_coordinates(reference.values[m], bins)).astype(np.int64)
+        joint = np.bincount(jt * bins + jr, minlength=bins * bins).astype(np.float64)
+        value, _ = _joint_mi(joint.reshape(bins, bins) / jt.size)
+        return SimilarityResult(value, np.zeros(template_w.geometry.shape))
+    keep = None if template_w.nodata is None else ~template_w.nodata.ravel()[band.index]
     # one gather of the template in band order, one scatter of the derivative
     t = _bin_coordinates(template_w.values.ravel()[band.index], bins)
-    value, grad = _band_mi(t, band)
+    value, grad = _band_mi(t, band, keep)
     d_warped = np.zeros(template_w.geometry.shape)
     d_warped.ravel()[band.index] = grad
     return SimilarityResult(value, d_warped)
-
-
-def _histogram_mi(joint: np.ndarray) -> float:
-    """Mutual information of a normalized joint histogram."""
-    p_t = joint.sum(axis=1)
-    p_r = joint.sum(axis=0)
-    pos = joint > 0.0
-    indep = np.outer(p_t, p_r)
-    return float(np.sum(joint[pos] * np.log(joint[pos] / indep[pos])))
 
 
 # ---------------------------------------------------------------------------

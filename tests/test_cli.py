@@ -265,6 +265,69 @@ def test_register_rerun_is_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# registration settings
+
+# flag, value on the command line, the RegistrationConfig field it sets and
+# the value that field gets; none equals its default or a preset's value
+REGISTRATION_FLAGS = [
+    ("--measure", "SSD", "measure", "SSD"),
+    ("--alpha", "2.5", "alpha", 2.5),
+    ("--eta", "0.2", "eta", 0.2),
+    ("--solver", "gauss-newton", "solver", "gauss-newton"),
+    ("--levels", "3", "max_levels", 3),
+    ("--max-iters", "7", "max_iters_per_level", 7),
+    ("--tol", "1e-4", "rel_tolerance", 1e-4),
+    ("--dt", "0.5", "dt", 0.5),
+]
+
+
+@pytest.mark.parametrize("command", ["register", "mosaic"])
+@pytest.mark.parametrize("preset", [None, "photo-to-hs"])
+@pytest.mark.parametrize("flag,text,name,value", REGISTRATION_FLAGS)
+def test_each_registration_flag_sets_its_config_field(command, preset, flag, text, name, value):
+    inputs = {"register": ["--tpl", "t.raster"], "mosaic": ["--tile", "t.raster"]}[command]
+    head = [command, "--ref", "r.raster", "--out", "x", *inputs]
+    head += ["--preset", preset] if preset else []
+    base = cli._build_config(cli.build_parser().parse_args(head))
+    cfg = cli._build_config(cli.build_parser().parse_args(head + [flag, text]))
+    assert getattr(base, name) != value
+    assert cfg == dataclasses.replace(base, **{name: value})
+
+
+def test_register_manifest_records_the_config(tmp_path):
+    ref, tpl = write_pair(tmp_path)
+    rc = run(
+        "register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "a",
+        "--measure", "SSD", "--alpha", "2.5", "--eta", "0.2", "--solver", "gauss-newton",
+        "--levels", "1", "--max-iters", "3", "--tol", "1e-4", "--dt", "0.5",
+    )
+    assert rc == 0
+    manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+    assert manifest["config"] == {
+        "alpha": 2.5, "dt": 0.5, "eta": 0.2, "max_iters_per_level": 3, "max_levels": 1,
+        "measure": "SSD", "method": "np", "mi_bins": 64, "mi_parzen_sigma": 1.0,
+        "rel_tolerance": 1e-4, "solver": "gauss-newton",
+    }
+    rc = run(
+        "register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "b",
+        "--preset", "photo-to-hs", "--levels", "1", "--max-iters", "2",
+    )
+    assert rc == 0
+    manifest = json.loads((tmp_path / "b.manifest.json").read_text())
+    assert manifest["config"] == {
+        "alpha": 1.5e5, "dt": 1.0, "eta": 0.03, "max_iters_per_level": 2, "max_levels": 1,
+        "measure": "NGF", "method": "np", "mi_bins": 64, "mi_parzen_sigma": 1.0,
+        "rel_tolerance": 1e-6, "solver": "l-bfgs",
+    }
+
+
+def test_register_zero_levels_exits_2(tmp_path):
+    ref, tpl = write_pair(tmp_path)
+    assert run("register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "x",
+               "--levels", "0") == 2
+
+
+# ---------------------------------------------------------------------------
 # report
 
 
@@ -363,6 +426,17 @@ def test_mosaic_with_reregistration(tmp_path):
     assert rc == 0
     composite = read_image(str(out) + ".mosaic.raster")
     assert composite.geometry.shape == (64, 64)
+    # the tile's alpha drives its registration; the manifest records the
+    # flags' configuration beside it
+    manifest = json.loads((tmp_path / "rr.manifest.json").read_text())
+    assert manifest["config"] == {
+        "tiles": [{"path": str(tile_path), "alpha": 1.0}],
+        "registration": {
+            "alpha": 5000.0, "dt": 1.0, "eta": 0.1, "max_iters_per_level": 40,
+            "max_levels": 1, "measure": "SSD", "mi_bins": 64, "mi_parzen_sigma": 1.0,
+            "rel_tolerance": 1e-6, "solver": "l-bfgs",
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,11 @@ def test_scenario_validation():
         bump_scenario(method="projective")
 
 
+def test_run_experiment_rejects_a_non_integer_size():
+    with pytest.raises(GeometryError, match="integers"):
+        run_experiment(bump_scenario(width=48.0))
+
+
 def test_run_experiment_nonparametric():
     report, artifacts = run_experiment(bump_scenario())
     assert not report.failed

@@ -336,6 +336,12 @@ def test_geometry_footprint_roundtrip():
     assert back.origin_northing == pytest.approx(g.origin_northing)
 
 
+def test_geometry_from_footprint_rejects_non_integer_size():
+    fp = footprint_of(GridGeometry(8, 8))
+    with pytest.raises(GeometryError, match="integers"):
+        geometry_from_footprint(fp, 8.0, 8)
+
+
 # ---------------------------------------------------------------------------
 # cropping
 

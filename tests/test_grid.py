@@ -70,6 +70,18 @@ def test_geometry_rejects_degenerate_size(w, h):
         GridGeometry(w, h)
 
 
+@pytest.mark.parametrize("w,h", [(4.0, 4), (4, 4.0), (np.float64(8), 8), (True, 4), (4, "4")])
+def test_geometry_rejects_non_integer_size(w, h):
+    # accepted, a float size would fail later as a TypeError from numpy
+    with pytest.raises(GeometryError, match="integers"):
+        GridGeometry(w, h)
+
+
+def test_geometry_accepts_numpy_integer_size():
+    g = GridGeometry(np.int64(6), np.int32(4))
+    assert DisplacementField.zero(g).u_x.shape == (4, 6)
+
+
 def test_geometry_rejects_nonpositive_spacing():
     with pytest.raises(GeometryError):
         GridGeometry(8, 8, spacing_x=0.0)

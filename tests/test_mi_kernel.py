@@ -13,6 +13,7 @@ import pytest
 
 from fusereg import similarity
 from fusereg.affine import register_affine
+from fusereg.errors import DegenerateImageError
 from fusereg.evaluation import synthetic_texture
 from fusereg.grid import GridGeometry, ScalarImage
 from fusereg.nonparametric import RegistrationConfig
@@ -127,12 +128,65 @@ def test_kernel_falls_back_to_the_joint_mask_for_a_gap_template(rng):
     t = ScalarImage(g, t.values, t_mask)
     r = ScalarImage(g, r.values, r_mask)
     _assert_matches_oracle(t, r, 64, 1.0)
-    # the level's band covers the reference's valid pixels; a template with
-    # gaps rebuilds it over the joint mask
+    # the level's band covers the reference's valid pixels, and a template
+    # with gaps keeps those of the joint mask
     got = evaluate("MI", t, level_reference(r, "MI"))
     want = mi(t, r)
     assert got.value == pytest.approx(want.value, rel=1e-12)
     np.testing.assert_allclose(got.d_warped, want.d_warped, rtol=1e-12, atol=1e-15)
+
+
+def test_kernel_with_a_gap_template_across_a_chunk_boundary(rng):
+    g = GridGeometry(41, 25)
+    t, r = _pair(rng, g)
+    t_mask = rng.uniform(size=g.shape) < 0.3
+    t = ScalarImage(g, t.values, t_mask)
+    _assert_matches_oracle(t, r, 64, 1.0)
+    assert not np.signbit(mi(t, r).d_warped[t_mask]).any()
+    level = level_reference(r, "MI")
+    assert [hi - lo for lo, hi, _, _ in level.mi_band.chunks] == [MI_CHUNK, 1]
+    # gaps fall in both chunks
+    kept = ~t_mask.ravel()[level.mi_band.index]
+    assert not kept[:MI_CHUNK].all() and kept[:MI_CHUNK].any()
+
+
+def test_kernel_rejects_a_fully_gapped_template(rng):
+    g = GridGeometry(16, 12)
+    t, r = _pair(rng, g)
+    t = ScalarImage(g, t.values, np.ones(g.shape, bool))
+    with pytest.raises(DegenerateImageError):
+        mi(t, r)
+    with pytest.raises(DegenerateImageError):
+        evaluate("MI", t, level_reference(r, "MI"))
+
+
+@pytest.fixture
+def band_builds(monkeypatch):
+    calls = collections.Counter()
+    build = similarity.ParzenBand.build.__func__
+
+    def spy_build(cls, *args):
+        calls["build"] += 1
+        return build(cls, *args)
+
+    monkeypatch.setattr(similarity.ParzenBand, "build", classmethod(spy_build))
+    return calls
+
+
+def test_a_gap_template_builds_the_band_once(rng, band_builds):
+    g = GridGeometry(40, 30)
+    t, r = _pair(rng, g)
+    t_mask = np.zeros(g.shape, bool)
+    t_mask[:, :10] = True
+    t = ScalarImage(g, t.values, t_mask)
+    mi(t, r)
+    assert band_builds["build"] == 1
+    evaluate("MI", t, r)
+    assert band_builds["build"] == 2
+    level = level_reference(r, "MI")
+    assert band_builds["build"] == 3
+    evaluate("MI", t, level)
+    assert band_builds["build"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""ScalarImage's two nodata rules hold for every image producer: masked
-samples read exactly +0.0, and an output without gaps has ``nodata is None``."""
+"""ScalarImage's nodata rules hold for every image producer: masked samples
+read exactly +0.0, an output without gaps has ``nodata is None``, and an
+image owns a read-only copy of its mask."""
 
 import numpy as np
 import pytest
@@ -100,6 +101,18 @@ def _crop(rng, gaps, tmp_path):
     return crop_to_footprint(_image(rng, mask), Footprint(-0.5, -0.5, 5.5, 9.5))
 
 
+def _cube_band(rng, gaps, tmp_path):
+    path = tmp_path / "cube.raster"
+    mask = _scattered(rng) if gaps else None
+    bands = [rng.uniform(-2.0, -1.0, G.shape) for _ in range(2)]
+    write_raster(path, G, bands, wavelengths=[460.0, 549.0], nodata_mask=mask)
+    return HyperspectralCube.from_raster(path).bands[1]
+
+
+def _with_values(rng, gaps, tmp_path):
+    return _image(rng, _scattered(rng) if gaps else None).with_values(np.ones(G.shape))
+
+
 def _difference(rng, gaps, tmp_path):
     return difference_map(_image(rng, _scattered(rng) if gaps else None), _image(rng))
 
@@ -114,6 +127,8 @@ PRODUCERS = {
     "normalize_intensity": _normalize,
     "downsample": _downsample,
     "read_image": _read_image,
+    "HyperspectralCube.from_raster": _cube_band,
+    "ScalarImage.with_values": _with_values,
     "rasterize_lidar": _rasterize,
     "grey_composite": _grey,
     "mosaic": _mosaic,
@@ -131,3 +146,29 @@ def test_producers_keep_the_scalar_image_nodata_rules(name, rng, tmp_path):
     assert out.nodata is not None and out.nodata.any()
     masked = out.values[out.nodata]
     assert (masked == 0.0).all() and not np.signbit(masked).any()
+    assert not out.nodata.flags.writeable
+
+
+def test_an_image_keeps_a_read_only_copy_of_its_mask(rng):
+    mask = _scattered(rng)
+    want = mask.copy()
+    image = _image(rng, mask)
+    values = image.values.copy()
+    mask[:] = ~mask  # the caller edits its array after construction
+    np.testing.assert_array_equal(image.nodata, want)
+    np.testing.assert_array_equal(image.values, values)
+    with pytest.raises(ValueError):
+        image.nodata[0, 0] = True
+
+
+def test_cube_bands_do_not_share_a_mask(tmp_path):
+    mask = np.zeros(G.shape, bool)
+    mask[1, 1] = True
+    bands = [ScalarImage(G, np.ones(G.shape), mask) for _ in range(2)]
+    path = tmp_path / "cube.raster"
+    HyperspectralCube(G, [460.0, 549.0], bands).to_raster(path)
+    back = HyperspectralCube.from_raster(path).bands
+    assert back[0].nodata is not back[1].nodata
+    for band in back:
+        np.testing.assert_array_equal(band.nodata, mask)
+        assert not band.nodata.flags.writeable
