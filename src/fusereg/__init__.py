@@ -51,8 +51,6 @@ from .grid import (
     ScalarImage,
     build_pyramid,
     displacement_to_geometry,
-    gradient,
-    laplacian,
     normalize_intensity,
     prolong,
     resample_to_geometry,
@@ -104,9 +102,7 @@ __all__ = [
     "difference_map",
     "displacement_to_geometry",
     "endpoint_error",
-    "gradient",
     "grey_composite",
-    "laplacian",
     "mean_abs_difference",
     "mi",
     "mosaic",

@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="internal thread cap (default: all cores; results do not depend on it)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in manifests")
     parser.add_argument("-v", "--verbose", action="store_true", help="info logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,8 +326,9 @@ def main(argv=None) -> int:
         threads = _resolve_threads(args.threads)
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         inputs, outputs, config = args.func(args)
-        manifest = dict(command=args.command, inputs=inputs, outputs=outputs, config=config)
-        manifest.update(seed=args.seed, threads=threads)
+        manifest = dict(
+            command=args.command, inputs=inputs, outputs=outputs, config=config, threads=threads
+        )
         _write_json(args.out + ".manifest.json", manifest)
         return 0
     except ParameterError as exc:

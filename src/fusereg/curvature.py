@@ -37,15 +37,15 @@ from .grid import (
 
 def curvature_energy(u: DisplacementField) -> float:
     """0.5 * (|L u_x|^2 + |L u_y|^2) in pixel units."""
-    lx = laplacian_values(u.u_x, 1.0, 1.0)
-    ly = laplacian_values(u.u_y, 1.0, 1.0)
+    lx = laplacian_values(u.u_x)
+    ly = laplacian_values(u.u_y)
     return 0.5 * float(np.sum(lx * lx) + np.sum(ly * ly))
 
 
 def bilaplacian(u: DisplacementField) -> DisplacementField:
     """Gradient of :func:`curvature_energy`: B u = L^T (L u) per component."""
-    bx = laplacian_adjoint_values(laplacian_values(u.u_x, 1.0, 1.0), 1.0, 1.0)
-    by = laplacian_adjoint_values(laplacian_values(u.u_y, 1.0, 1.0), 1.0, 1.0)
+    bx = laplacian_adjoint_values(laplacian_values(u.u_x))
+    by = laplacian_adjoint_values(laplacian_values(u.u_y))
     return DisplacementField(u.geometry, bx, by)
 
 

@@ -235,7 +235,7 @@ def checkerboard(a: ScalarImage, b: ScalarImage, tiles: int = 8) -> ScalarImage:
 
 @dataclass
 class ExperimentScenario:
-    """One synthetic registration run."""
+    """One synthetic registration run; ``config.measure`` names its measure."""
 
     name: str
     width: int
@@ -243,7 +243,6 @@ class ExperimentScenario:
     seed: int
     deformation: SyntheticDeformation
     method: str = "nonparametric"  # or "affine"
-    measure: str = "NGF"
     config: RegistrationConfig = field(default_factory=RegistrationConfig)
     texture_smoothness: float = 3.0
 
@@ -297,14 +296,12 @@ def run_experiment(scenario: ExperimentScenario):
     u_d = scenario.deformation.realized(geometry)
     template = warp(reference, u_d)
     u_true = scenario.deformation.inverse(geometry)
-    report = MetricReport(name=scenario.name, method=scenario.method, measure=scenario.measure)
     cfg = scenario.config
-    if cfg.measure != scenario.measure:
-        cfg = replace(cfg, measure=scenario.measure)
+    report = MetricReport(name=scenario.name, method=scenario.method, measure=cfg.measure)
     t0 = time.perf_counter()
     try:
         if scenario.method == "affine":
-            params, trace = register_affine(template, reference, scenario.measure, cfg)
+            params, trace = register_affine(template, reference, cfg.measure, cfg)
             u_est = affine_to_displacement(params, geometry)
         else:
             u_est, trace = register_multilevel(template, reference, cfg)

@@ -8,7 +8,9 @@ Conventions used throughout the toolbox:
   ``(origin_easting + x * spacing_x, origin_northing + y * spacing_y)``,
   i.e. grids are node-centred and the row axis points north,
 * displacement fields are stored in pixel units on the grid of the image
-  they deform; the deformed image is ``I(x - u(x))``.
+  they deform; the deformed image is ``I(x - u(x))``,
+* the finite-difference stencils work in pixel units too: the spacing
+  only places a grid in the world.
 """
 
 from __future__ import annotations
@@ -344,39 +346,33 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
 # finite differences
 
 
-def gradient_axis(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Central differences inside, one-sided at the two boundary planes."""
+def gradient_axis(values: np.ndarray, axis: int) -> np.ndarray:
+    """Central differences inside, one-sided at the two boundary planes,
+    in pixel units."""
     v = np.moveaxis(values, axis, 0)
     g = np.empty_like(v)
-    g[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
-    g[0] = (v[1] - v[0]) / spacing
-    g[-1] = (v[-1] - v[-2]) / spacing
+    g[1:-1] = (v[2:] - v[:-2]) / 2.0
+    g[0] = v[1] - v[0]
+    g[-1] = v[-1] - v[-2]
     return np.moveaxis(g, 0, axis)
 
 
-def gradient_axis_adjoint(weights: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+def gradient_axis_adjoint(weights: np.ndarray, axis: int) -> np.ndarray:
     """Exact transpose of :func:`gradient_axis` (needed by NGF derivatives)."""
     w_ = np.moveaxis(weights, axis, 0)
     v = np.zeros_like(w_)
-    inner = w_[1:-1] / (2.0 * spacing)
+    inner = w_[1:-1] / 2.0
     v[2:] += inner
     v[:-2] -= inner
-    v[1] += w_[0] / spacing
-    v[0] -= w_[0] / spacing
-    v[-1] += w_[-1] / spacing
-    v[-2] -= w_[-1] / spacing
+    v[1] += w_[0]
+    v[0] -= w_[0]
+    v[-1] += w_[-1]
+    v[-2] -= w_[-1]
     return np.moveaxis(v, 0, axis)
 
 
-def gradient(image: ScalarImage) -> tuple[ScalarImage, ScalarImage]:
-    """Spacing-scaled first derivatives (d/dx, d/dy) of the image."""
-    gx = gradient_axis(image.values, 1, image.geometry.spacing_x)
-    gy = gradient_axis(image.values, 0, image.geometry.spacing_y)
-    return image.with_values(gx), image.with_values(gy)
-
-
-def laplacian_values(values: np.ndarray, spacing_x: float, spacing_y: float) -> np.ndarray:
-    """5-point Laplacian with boundary rows dropped.
+def laplacian_values(values: np.ndarray) -> np.ndarray:
+    """5-point Laplacian in pixel units with boundary rows dropped.
 
     Boundary second differences use linear extrapolation ghosts, so each
     direction contributes zero on its two boundary planes and any affine
@@ -387,44 +383,29 @@ def laplacian_values(values: np.ndarray, spacing_x: float, spacing_y: float) -> 
     inner = np.multiply(values[:, 1:-1], -2.0, out=out[:, 1:-1])
     inner += values[:, 2:]
     inner += values[:, :-2]
-    if spacing_x != 1.0:
-        inner /= spacing_x**2
     out[:, [0, -1]] = 0.0
     dy = values[1:-1, :] * -2.0
     dy += values[2:, :]
     dy += values[:-2, :]
-    if spacing_y != 1.0:
-        dy /= spacing_y**2
     out[1:-1, :] += dy
     return out
 
 
-def laplacian_adjoint_values(weights: np.ndarray, spacing_x: float, spacing_y: float) -> np.ndarray:
+def laplacian_adjoint_values(weights: np.ndarray) -> np.ndarray:
     """Exact transpose of :func:`laplacian_values`: per pixel t[k+1] -
-    2 t[k] + t[k-1] along x, then along y, t the weights over the squared
-    spacing, zero on that direction's two boundary planes."""
+    2 t[k] + t[k-1] along x, then along y, t the weights, zero on that
+    direction's two boundary planes."""
     out = np.empty_like(weights)
     tx = weights[:, 1:-1]
-    if spacing_x != 1.0:
-        tx = tx / spacing_x**2
     out[:, :-2] = tx
     out[:, -2:] = 0.0
     out[:, 1:-1] -= 2.0 * tx
     out[:, 2:] += tx
     ty = weights[1:-1, :]
-    if spacing_y != 1.0:
-        ty = ty / spacing_y**2
     out[:-2, :] += ty
     out[1:-1, :] -= 2.0 * ty
     out[2:, :] += ty
     return out
-
-
-def laplacian(image: ScalarImage) -> ScalarImage:
-    """Spacing-scaled Laplacian of the image (zero on the boundary frame)."""
-    return image.with_values(
-        laplacian_values(image.values, image.geometry.spacing_x, image.geometry.spacing_y)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,6 @@ class RegistrationConfig:
         if self.measure not in similarity.MEASURES:
             raise ParameterError("unknown measure %r" % self.measure)
         similarity.check_mi_parameters(self.mi_bins, self.mi_parzen_sigma)
-        if self.mi_parzen_sigma == 0.0:
-            # the nearest-bin MI has a zero derivative almost everywhere, so
-            # a registration would stand still and report success
-            raise ParameterError("mi_parzen_sigma must be positive to register with MI")
         if self.solver not in SOLVERS:
             raise ParameterError("unknown solver %r" % self.solver)
         for name in ("alpha", "eta", "dt"):
@@ -275,7 +271,7 @@ def _gauss_newton_direction(alpha):
             # row k: h_k1 vx + h_k2 vy + alpha B v_k + mu v_k, left to right
             out = np.empty_like(v)
             for k, (ha, hb) in enumerate(((h11, h12), (h12, h22))):
-                b = laplacian_adjoint_values(laplacian_values(v[k], 1.0, 1.0), 1.0, 1.0)
+                b = laplacian_adjoint_values(laplacian_values(v[k]))
                 row = out[k]
                 np.multiply(ha, v[0], out=row)
                 row += np.multiply(hb, v[1], out=tmp)

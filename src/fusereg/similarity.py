@@ -103,11 +103,11 @@ def check_mi_parameters(bins, parzen_sigma):
     """Reject histogram settings MI cannot use."""
     if not isinstance(bins, (int, np.integer)) or bins < 8:
         raise ParameterError("mi needs an integer number of bins >= 8")
-    if not (math.isfinite(parzen_sigma) and parzen_sigma >= 0.0):
-        raise ParameterError("parzen_sigma must be finite and >= 0")
+    if not (math.isfinite(parzen_sigma) and parzen_sigma > 0.0):
+        raise ParameterError("parzen_sigma must be finite and positive")
     # a pixel's nearest tap can sit half a bin from it; where even that
     # weight underflows, windows normalize to 0/0
-    if parzen_sigma > 0.0 and math.exp(-0.125 / parzen_sigma**2) == 0.0:
+    if math.exp(-0.125 / parzen_sigma**2) == 0.0:
         raise ParameterError(
             "parzen_sigma %g is so small that the Parzen window underflows; "
             "use a value >= 0.013" % parzen_sigma
@@ -168,8 +168,8 @@ def _windows(block: np.ndarray, taps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParzenBand:
-    """Parzen windows of the reference pixels of a mask, built once per
-    pyramid level.
+    """Parzen windows of an image's valid pixels, built once per pyramid
+    level.
 
     Pixels are sorted by their first bin, so a chunk of consecutive pixels
     touches only a few bins: entry k is the pixel at flat position
@@ -185,8 +185,8 @@ class ParzenBand:
     chunks: tuple
 
     @classmethod
-    def build(cls, image: ScalarImage, mask: np.ndarray, bins: int, sigma: float):
-        index = np.flatnonzero(mask)
+    def build(cls, image: ScalarImage, bins: int, sigma: float):
+        index = np.flatnonzero(image.valid_mask)
         r = _bin_coordinates(image.values.ravel()[index], bins)
         radius = _parzen_radius(sigma, bins)
         order = np.argsort(np.ceil(r - radius), kind="stable")
@@ -206,27 +206,20 @@ class ParzenBand:
         return cls(bins, sigma, index, tuple(chunks))
 
 
-def _joint_mi(joint: np.ndarray):
-    """-MI of a normalized joint histogram, and the log-ratio of the joint
-    to the product of its marginals (0 where the joint is 0)."""
-    pos = joint > 0.0
-    log_ratio = np.zeros(joint.shape)
-    log_ratio[pos] = np.log(joint[pos] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[pos])
-    return -float(np.sum(joint[pos] * log_ratio[pos])), log_ratio
-
-
 def _band_mi(t: np.ndarray, band: ParzenBand, keep: np.ndarray | None):
     """-MI of template bin coordinates ``t`` (in ``band`` order) against the
     reference band, and its derivative with respect to ``t``.  ``keep``
     (None: all) marks the entries that count; the others, the template's
-    gaps, get zero windows and a zero derivative.
+    gaps, get zero windows and a zero derivative.  A gap's window sits at
+    a kept entry's bin of its chunk, so it does not widen the chunk's
+    template block.
 
     Per chunk, the template windows are scattered into a dense block T,
     only as wide as the chunk's template bins span, and the joint
     histogram gathers T^T R.  With L the log-ratio of the joint to its
-    marginals, the derivative is the template window derivative contracted
-    with G = R L^T at the template's bins; the terms of the marginals
-    cancel because every window sums to 1.
+    marginals (0 where the joint is 0), the derivative is the template
+    window derivative contracted with G = R L^T at the template's bins;
+    the terms of the marginals cancel because every window sums to 1.
     """
     bins, sigma = band.bins, band.sigma
     radius = _parzen_radius(sigma, bins)
@@ -240,9 +233,13 @@ def _band_mi(t: np.ndarray, band: ParzenBand, keep: np.ndarray | None):
     scratch = np.empty(MI_CHUNK * width)  # T per chunk, then G per chunk
     joint = np.zeros((width, width))
     for lo, hi, first, r_block in band.chunks:
-        start, w, dw = _parzen_weights(t[lo:hi], bins, sigma)
+        tc = t[lo:hi]
         if keep is not None:
-            w *= keep[lo:hi]
+            k = keep[lo:hi]
+            tc = np.where(k, tc, tc[np.argmax(k)])
+        start, w, dw = _parzen_weights(tc, bins, sigma)
+        if keep is not None:
+            w *= k
         t_first = int(start.min())
         span = int(start.max()) - t_first + taps
         t_rows = scratch[: (hi - lo) * span].reshape(hi - lo, span)
@@ -252,9 +249,12 @@ def _band_mi(t: np.ndarray, band: ParzenBand, keep: np.ndarray | None):
         joint[t_first : t_first + span, first : first + r_block.shape[1]] += t_rows.T @ r_block
         t_chunks.append((t_first, span, slots, dw))
 
-    value, ratio = _joint_mi(joint[inner, inner] / n)
+    joint = joint[inner, inner] / n
+    pos = joint > 0.0
+    ratio = np.log(joint[pos] / np.outer(joint.sum(axis=1), joint.sum(axis=0))[pos])
+    value = -float(np.sum(joint[pos] * ratio))
     log_ratio = np.zeros((width, width))
-    log_ratio[inner, inner] = ratio
+    log_ratio[inner, inner][pos] = ratio
 
     grad = np.empty(t.size)
     for (lo, hi, first, r_block), (t_first, span, slots, dw) in zip(band.chunks, t_chunks):
@@ -276,30 +276,18 @@ def mi(
 
     Intensities in [0, 1] map to continuous bin coordinate v * (bins - 1);
     each pixel spreads over nearby bins through a truncated Gaussian window
-    (sigma in bins) whose weights are normalized per pixel.  With
-    ``parzen_sigma = 0`` pixels are assigned to the nearest bin and the
-    derivative is zero almost everywhere.
+    (sigma in bins) whose weights are normalized per pixel.
     """
     return evaluate("MI", template_w, reference, mi_bins=bins, mi_parzen_sigma=parzen_sigma)
 
 
-def _mi(template_w, reference, bins, parzen_sigma, band):
+def _mi(template_w, reference, bins, band):
     """:func:`mi` with the reference side built by :func:`level_reference`,
     which checked the parameters and the reference.  Its band holds the
     reference's valid pixels, of which a template with gaps keeps those
-    of the joint mask; the hard histogram of ``parzen_sigma = 0`` (no
-    band) counts the joint mask's pixels."""
+    of the joint mask."""
     _check_normalized(template_w, "template")
     _require_same_shape(template_w.geometry, reference.geometry, "similarity")
-    if band is None:
-        m = template_w.valid_mask & reference.valid_mask
-        if not m.any():
-            raise DegenerateImageError("no overlapping valid pixels")
-        jt = np.rint(_bin_coordinates(template_w.values[m], bins)).astype(np.int64)
-        jr = np.rint(_bin_coordinates(reference.values[m], bins)).astype(np.int64)
-        joint = np.bincount(jt * bins + jr, minlength=bins * bins).astype(np.float64)
-        value, _ = _joint_mi(joint.reshape(bins, bins) / jt.size)
-        return SimilarityResult(value, np.zeros(template_w.geometry.shape))
     keep = None if template_w.nodata is None else ~template_w.nodata.ravel()[band.index]
     # one gather of the template in band order, one scatter of the derivative
     t = _bin_coordinates(template_w.values.ravel()[band.index], bins)
@@ -319,15 +307,15 @@ def _ngf_parts(image: ScalarImage, eta: float):
     # per-metre gradients would sink below any fixed noise floor)
     if not (math.isfinite(eta) and eta > 0.0):
         raise ParameterError("eta must be finite and positive")
-    gx = gradient_axis(image.values, 1, 1.0)
-    gy = gradient_axis(image.values, 0, 1.0)
+    gx = gradient_axis(image.values, 1)
+    gy = gradient_axis(image.values, 0)
     scale = np.sqrt(gx * gx + gy * gy + eta * eta)
-    return gx, gy, scale, gx / scale, gy / scale
+    return scale, gx / scale, gy / scale
 
 
 def ngf_field(image: ScalarImage, eta: float) -> NgfField:
     """Gradient direction field with the eta noise floor."""
-    _, _, _, n_x, n_y = _ngf_parts(image, eta)
+    _, n_x, n_y = _ngf_parts(image, eta)
     return NgfField(n_x, n_y)
 
 
@@ -349,7 +337,7 @@ def _ngf(template_w, reference, eta, field):
     """:func:`ngf` with the reference's field built by :func:`level_reference`."""
     m = _joint_mask(template_w, reference)
     mf = None if m is None else m.astype(np.float64)
-    _, _, scale_t, nt_x, nt_y = _ngf_parts(template_w, eta)
+    scale_t, nt_x, nt_y = _ngf_parts(template_w, eta)
     nr_x, nr_y = field.n_x, field.n_y
     rho = nt_x * nr_x + nt_y * nr_y
     rho2 = rho * rho if mf is None else mf * rho * rho
@@ -360,7 +348,7 @@ def _ngf(template_w, reference, eta, field):
     coeff /= scale_t
     w_x = coeff * (nr_x - rho * nt_x)
     w_y = coeff * (nr_y - rho * nt_y)
-    d_warped = gradient_axis_adjoint(w_x, 1, 1.0) + gradient_axis_adjoint(w_y, 0, 1.0)
+    d_warped = gradient_axis_adjoint(w_x, 1) + gradient_axis_adjoint(w_y, 0)
     return SimilarityResult(value, d_warped)
 
 
@@ -399,8 +387,7 @@ def level_reference(
     if measure == "MI":
         check_mi_parameters(mi_bins, mi_parzen_sigma)
         _check_normalized(reference, "reference")
-        if mi_parzen_sigma > 0.0:
-            band = ParzenBand.build(reference, reference.valid_mask, mi_bins, mi_parzen_sigma)
+        band = ParzenBand.build(reference, mi_bins, mi_parzen_sigma)
     elif measure == "NGF":
         field = ngf_field(reference, eta)
     return LevelReference(reference, (measure, eta, mi_bins, mi_parzen_sigma), band, field)
@@ -430,5 +417,5 @@ def evaluate(
     if measure == "NCC":
         return ncc(template_w, image)
     if measure == "MI":
-        return _mi(template_w, image, mi_bins, mi_parzen_sigma, reference.mi_band)
+        return _mi(template_w, image, mi_bins, reference.mi_band)
     return _ngf(template_w, image, eta, reference.ngf_field)

@@ -162,7 +162,6 @@ def _scenario(name, w, h, seed, deformation, method="nonparametric", measure="NG
         seed=seed,
         deformation=deformation,
         method=method,
-        measure=measure,
         config=_suite_config(measure, **kw),
         texture_smoothness=2.0,
     )

@@ -62,7 +62,6 @@ def test_rasterize_writes_raster_and_manifest(tmp_path):
     assert manifest["command"] == "rasterize"
     assert manifest["config"]["cell"] == 1.0
     assert manifest["inputs"]["points"] == str(pts)
-    assert manifest["seed"] == 0
     assert manifest["threads"] >= 1
 
 
@@ -140,7 +139,7 @@ def test_register_metrics_match_the_experiment_report(tmp_path, monkeypatch):
     cfg = RegistrationConfig(measure="SSD", alpha=1.0, max_levels=2, max_iters_per_level=30)
     bump = SyntheticDeformation(kind="gaussian-bump", amplitude=2.0, sigma=8.0)
     report, artifacts = run_experiment(
-        ExperimentScenario("bump", 64, 64, seed=3, deformation=bump, measure="SSD", config=cfg)
+        ExperimentScenario("bump", 64, 64, seed=3, deformation=bump, config=cfg)
     )
     assert not report.failed
     # the rasters store float32 and the CLI normalizes what it reads, so
@@ -462,15 +461,6 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert manifest["threads"] == 1
 
 
-def test_seed_recorded_in_manifest(tmp_path):
-    pts = tmp_path / "pts.csv"
-    pts.write_text(POINTS_CSV)
-    out = tmp_path / "s.raster"
-    assert run("--seed", "42", "rasterize", "--points", pts, "--out", out) == 0
-    manifest = json.loads((tmp_path / "s.raster.manifest.json").read_text())
-    assert manifest["seed"] == 42
-
-
 @pytest.mark.parametrize("line", ["origin_easting = nan", "spacing_x = inf", "width = 1"])
 def test_report_bad_header_exits_3(tmp_path, line):
     ref, tpl = write_pair(tmp_path)
@@ -501,7 +491,7 @@ def test_report_non_finite_raster_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["rasterize", "register", "report", "mosaic"])
-def test_manifest_has_the_six_keys(tmp_path, command):
+def test_manifest_has_the_five_keys(tmp_path, command):
     pts = tmp_path / "pts.csv"
     pts.write_text(POINTS_CSV)
     ref, tpl = write_pair(tmp_path)
@@ -514,7 +504,7 @@ def test_manifest_has_the_six_keys(tmp_path, command):
     }[command]
     assert run(command, *argv, "--out", tmp_path / "runs" / command) == 0
     manifest = json.loads((tmp_path / "runs" / (command + ".manifest.json")).read_text())
-    assert set(manifest) == {"command", "inputs", "outputs", "config", "seed", "threads"}
+    assert set(manifest) == {"command", "inputs", "outputs", "config", "threads"}
     assert manifest["command"] == command
 
 

@@ -20,7 +20,7 @@ from fusereg.evaluation import (
     synthetic_texture,
 )
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
-from fusereg.nonparametric import RegistrationConfig
+from fusereg.nonparametric import RegistrationConfig, objective
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,6 @@ def bump_scenario(**overrides):
         seed=12,
         deformation=SyntheticDeformation(kind="gaussian-bump", amplitude=2.0, sigma=10.0),
         method="nonparametric",
-        measure="SSD",
         config=RegistrationConfig(
             measure="SSD", alpha=1.0, max_levels=2, max_iters_per_level=60
         ),
@@ -275,6 +274,23 @@ def test_scenario_validation():
 def test_run_experiment_rejects_a_non_integer_size():
     with pytest.raises(GeometryError, match="integers"):
         run_experiment(bump_scenario(width=48.0))
+
+
+def test_scenario_runs_the_measure_its_config_names():
+    # the config is the one place that names the measure: the report says
+    # SSD, the final objective is SSD's, and the affine fit uses SSD too
+    cfg = RegistrationConfig(measure="SSD", alpha=1.0, max_levels=1, max_iters_per_level=10)
+    report, artifacts = run_experiment(bump_scenario(width=48, height=48, config=cfg))
+    assert not report.failed and report.measure == "SSD"
+    j, _ = objective(artifacts["field"], artifacts["template"], artifacts["reference"], cfg)
+    assert report.final_objective == pytest.approx(j, rel=1e-12)
+    p = AffineParams(1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
+    report, artifacts = run_experiment(bump_scenario(
+        width=48, height=48, deformation=SyntheticDeformation(kind="affine", params=p),
+        method="affine", config=cfg,
+    ))
+    assert report.measure == "SSD"
+    assert {lt.solver for lt in artifacts["trace"].levels} == {"affine-ssd"}
 
 
 def test_run_experiment_nonparametric():

@@ -13,6 +13,7 @@ import pytest
 from fusereg import similarity
 from fusereg.errors import DegenerateImageError, IntensityRangeError, ParameterError
 from fusereg.grid import GridGeometry, ScalarImage
+from fusereg.nonparametric import RegistrationConfig
 from fusereg.similarity import (
     MEASURES,
     _parzen_weights,
@@ -130,43 +131,6 @@ def test_ncc_rejects_constant_image(geom16, rng):
 # MI
 
 
-def _entropy_mi_oracle(t_vals, r_vals, bins):
-    """MI from hard-binned counts via H(T) + H(R) - H(T, R)."""
-    jt = [int(round(v * (bins - 1))) for v in t_vals]
-    jr = [int(round(v * (bins - 1))) for v in r_vals]
-    n = len(jt)
-
-    def entropy(counter):
-        h = 0.0
-        for c in counter.values():
-            p = c / n
-            h -= p * math.log(p)
-        return h
-
-    h_t = entropy(collections.Counter(jt))
-    h_r = entropy(collections.Counter(jr))
-    h_tr = entropy(collections.Counter(zip(jt, jr)))
-    return h_t + h_r - h_tr
-
-
-def test_mi_hard_binning_matches_entropy_oracle(geom16, rng):
-    t = random_image(geom16, rng)
-    r = random_image(geom16, rng)
-    res = mi(t, r, bins=16, parzen_sigma=0.0)
-    want = _entropy_mi_oracle(t.values.ravel(), r.values.ravel(), 16)
-    assert res.value == pytest.approx(-want, rel=1e-10)
-    np.testing.assert_array_equal(res.d_warped, 0.0)
-
-
-def test_mi_self_information_is_marginal_entropy(geom16, rng):
-    img = random_image(geom16, rng)
-    res = mi(img, img, bins=16, parzen_sigma=0.0)
-    jt = np.rint(img.values.ravel() * 15).astype(int)
-    counts = np.bincount(jt, minlength=16).astype(float)
-    p = counts[counts > 0] / counts.sum()
-    assert res.value == pytest.approx(float(np.sum(p * np.log(p))), rel=1e-10)
-
-
 def test_mi_prefers_aligned_over_shuffled(geom16, rng):
     img = random_image(geom16, rng)
     perm = img.with_values(rng.permutation(img.values.ravel()).reshape(geom16.shape))
@@ -203,8 +167,7 @@ def test_mi_parameter_validation(geom16, rng):
             mi(t, t, parzen_sigma=sigma)
         with pytest.raises(ParameterError, match="underflows"):
             level_reference(t, "MI", mi_parzen_sigma=sigma)
-    for sigma in (0.0, 0.013):
-        assert np.isfinite(mi(t, t, parzen_sigma=sigma).value)
+    assert np.isfinite(mi(t, t, parzen_sigma=0.013).value)
     with pytest.raises(ParameterError):
         level_reference(t, "MI", mi_parzen_sigma=float("nan"))
     hot = t.with_values(t.values + 2.0)
@@ -212,6 +175,22 @@ def test_mi_parameter_validation(geom16, rng):
         mi(hot, t)
     with pytest.raises(IntensityRangeError):
         mi(t, hot)
+
+
+def test_zero_parzen_width_is_refused_alike_everywhere(geom16, rng):
+    # a nearest-bin MI has a zero derivative almost everywhere, so no
+    # entry point takes sigma = 0
+    t = random_image(geom16, rng)
+    messages = set()
+    for call in (
+        lambda: mi(t, t, parzen_sigma=0.0),
+        lambda: level_reference(t, "MI", mi_parzen_sigma=0.0),
+        lambda: RegistrationConfig(measure="MI", mi_parzen_sigma=0.0),
+    ):
+        with pytest.raises(ParameterError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"parzen_sigma must be finite and positive"}
 
 
 def _mi_oracle(template_w, reference, bins, sigma):
