@@ -83,6 +83,12 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.measure not in similarity.MEASURES:
             raise ParameterError("unknown measure %r" % self.measure)
+        for name in ("alpha", "eta", "dt", "rel_tolerance", "mi_parzen_sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise ParameterError("%s must be a real number" % name)
         similarity.check_mi_parameters(self.mi_bins, self.mi_parzen_sigma)
         if self.solver not in SOLVERS:
             raise ParameterError("unknown solver %r" % self.solver)
@@ -404,8 +410,9 @@ def _run_level(trace, minimize, name, note=None):
     if trace.iterations == 0:
         log.warning("%s stopped at iteration 0: no step was accepted", name)
     log.info(
-        "%s: %d iterations, J=%.6e, converged=%s%s",
-        name, trace.iterations, result.fun, trace.converged, "" if note is None else note(),
+        "%s: %d iterations, %d evaluations, J=%.6e, converged=%s%s",
+        name, trace.iterations, trace.evaluations, result.fun, trace.converged,
+        "" if note is None else note(),
     )
     return result
 

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DivergenceError, FuseRegError
 
 ARMIJO_C1 = 1e-4
+# the factors of armijo_backtrack's stall test (see its docstring)
+STALL_SECANT_SPREAD = 0.1
+STALL_SLOPE_RATIO = 0.5
 MAX_BACKTRACKS = 30
 LBFGS_MEMORY = 10  # curvature pairs kept
 
@@ -74,22 +77,46 @@ def armijo_backtrack(fun, x, f, d, slope, t=1.0):
 
     Tries ``x + t d`` for t, t/2, ... (at most ``MAX_BACKTRACKS`` times) and
     accepts the first trial whose value ``fun(x_try)[0]`` is finite and at
-    most ``f + ARMIJO_C1 * t * slope``.  A first t = 2^-k saves the k
-    trials above it and accepts the step a search from 1 accepts whenever
-    those trials would have failed.  A trial at which ``fun`` raises
+    most ``f + ARMIJO_C1 * t * slope``.  A trial at which ``fun`` raises
     :class:`FuseRegError` has left the measure's domain and is rejected
-    like any other.  Returns ``(t, x_try, value, rest)`` for the accepted
-    trial, ``rest`` being the second item ``fun`` returned, or None.
+    like any other.
+
+    The search also stalls early, on evidence that no smaller trial can
+    succeed: after two rejected finite trials in a row, at 2t and t, with
+    secants s(t) = (J(t) - f) / t, the quadratic J = f + a tau + b tau^2
+    through (0, f), (t, J(t)) and (2t, J(2t)) has a = 2 s(t) - s(2t).  The
+    search ends when 0 <= s(2t) - s(t) <= ``STALL_SECANT_SPREAD`` s(t) (the
+    secants agree and J is convex along the ray) and a >=
+    ``STALL_SLOPE_RATIO`` |slope| (J rises from the start, about as steeply
+    as ``slope`` predicted it to fall; so s(t) >= a > 0): a kink of the
+    sampled objective.  A trial that raises or returns a non-finite
+    value breaks the pair.
+
+    A first t = 2^-k saves the k trials above it and accepts the step a
+    search from 1 accepts whenever those trials would have failed and
+    would not have ended the search.  Returns ``(t, x_try, value, rest)``
+    for the accepted trial, ``rest`` being the second item ``fun``
+    returned, or None.
     """
+    secant = None  # that of the last trial, when it was rejected and finite
     for _ in range(MAX_BACKTRACKS):
         x_try = x + t * d
         try:
             f_try, rest = fun(x_try)
         except FuseRegError:
-            t *= 0.5
-            continue
-        if np.isfinite(f_try) and f_try <= f + ARMIJO_C1 * t * slope:
+            f_try = np.nan
+        if not np.isfinite(f_try):
+            secant = None
+        elif f_try <= f + ARMIJO_C1 * t * slope:
             return t, x_try, f_try, rest
+        else:
+            secant_prev, secant = secant, (f_try - f) / t
+            if (
+                secant_prev is not None
+                and 0.0 <= secant_prev - secant <= STALL_SECANT_SPREAD * secant
+                and 2.0 * secant - secant_prev >= STALL_SLOPE_RATIO * abs(slope)
+            ):
+                return None
         t *= 0.5
     return None
 

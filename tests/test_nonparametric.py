@@ -12,6 +12,7 @@ import pytest
 from fusereg import curvature, nonparametric
 from fusereg.curvature import curvature_energy, neumann_solve
 from fusereg.errors import DivergenceError, GeometryError, IntensityRangeError, ParameterError
+from fusereg.cli import PRESETS
 from fusereg.evaluation import SyntheticDeformation, endpoint_error, synthetic_texture
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
 from fusereg.nonparametric import (
@@ -83,6 +84,13 @@ def test_config_rejects_unknown_names():
     ("mi_parzen_sigma", 1e-3),
     ("mi_parzen_sigma", 0.0125),
     ("mi_parzen_sigma", 0.0),
+    ("alpha", "1"),
+    ("alpha", True),
+    ("eta", None),
+    ("dt", "1"),
+    ("rel_tolerance", "x"),
+    ("mi_parzen_sigma", "1"),
+    ("mi_parzen_sigma", True),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ParameterError):
@@ -538,6 +546,26 @@ def test_level_stopped_at_iteration_zero_warns(texture64, caplog):
         _, trace = register_level(tem, ref, DisplacementField.zero(ref.geometry), cfg)
     assert trace.iterations > 0
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_product_preset_stall_ends_each_level_within_three_evaluations(texture64, caplog):
+    # an inverted-contrast copy on the same lattice: NGF sees no
+    # misalignment, yet u = 0 is a kink where the gradient predicts a
+    # descent along which J rises; each level stops after two trials
+    tem = ScalarImage(texture64.geometry, 1.0 - texture64.values)
+    cfg = RegistrationConfig(**PRESETS["hs-to-lidar"])
+    with caplog.at_level(logging.INFO, logger="fusereg.nonparametric"):
+        u, trace = register_multilevel(tem, texture64, cfg)
+    assert len(trace.levels) >= 2
+    assert not u.u_x.any() and not u.u_y.any()
+    for lt in trace.levels:
+        assert lt.iterations == 0
+        assert lt.evaluations <= 3
+    # the level summary reports what each stall cost
+    summaries = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert [s.split(": ")[1].split(", J=")[0] for s in summaries] == [
+        "0 iterations, %d evaluations" % lt.evaluations for lt in trace.levels
+    ]
 
 
 def _smooth_field(rng, shape):

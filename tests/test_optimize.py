@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from fusereg.errors import DivergenceError, ParameterError
-from fusereg.optimize import _two_loop, armijo_backtrack, descend, minimize_lbfgs
+from fusereg.optimize import (
+    MAX_BACKTRACKS,
+    _two_loop,
+    armijo_backtrack,
+    descend,
+    minimize_lbfgs,
+)
 
 
 def quadratic(diag):
@@ -175,6 +181,58 @@ def test_backtrack_halves_past_trials_that_raise():
     assert (res.x[0], res.fun, res.iterations) == (1.0, -1.0, 1)
     # the start and the one trial that returned; the two that raised are not counted
     assert res.n_evals == 2
+
+
+def _ray(values):
+    """fun for a search from x = 0 along d = +1: J(t) = values(t), with a
+    log of the trial points."""
+    trials = []
+
+    def fun(x):
+        trials.append(float(x[0]))
+        return values(float(x[0])), "rest"
+
+    return fun, trials
+
+
+@pytest.mark.parametrize("values,n_trials,accepted", [
+    # |x| along +1 with the slope of the other side: both secants read +1
+    (abs, 2, None),
+    # J = t + 10 t^2: the secants 1 + 10 t first agree to 10% at t = 1/128
+    (lambda t: t + 10.0 * t * t, 8, None),
+    # the secants agree, but J rises far more gently than the predicted descent
+    (lambda t: 0.1 * t, MAX_BACKTRACKS, None),
+    # J = 2 t - t^2 is concave along the ray: its secants 2 - t never fall
+    (lambda t: 2.0 * t - t * t, MAX_BACKTRACKS, None),
+    # J = -t + 10 t^2: positive secants that fall fast; the search halves on
+    # to the first Armijo point
+    (lambda t: -t + 10.0 * t * t, 5, 0.0625),
+], ids=["kink", "curved-rise", "shallow-rise", "concave-rise", "overshoot"])
+def test_backtrack_stalls_only_where_no_smaller_trial_can_succeed(values, n_trials, accepted):
+    fun, trials = _ray(values)
+    hit = armijo_backtrack(fun, np.zeros(1), 0.0, np.ones(1), -1.0)
+    assert trials == [0.5**k for k in range(n_trials)]
+    if accepted is None:
+        assert hit is None
+    else:
+        t, x_try, _, rest = hit
+        assert (t, x_try[0], rest) == (accepted, accepted, "rest")
+
+
+@pytest.mark.parametrize("bad", ["raise", "nan"])
+def test_a_failed_trial_breaks_the_secant_pair(bad):
+    # J(t) = t, but the trial at 1/2 raises or is not finite: the trials at
+    # 1 and 1/4 are no pair, those at 1/4 and 1/8 are
+    def values(t):
+        if t == 0.5:
+            if bad == "raise":
+                raise ParameterError("outside the domain")
+            return float("nan")
+        return t
+
+    fun, trials = _ray(values)
+    assert armijo_backtrack(fun, np.zeros(1), 0.0, np.ones(1), -1.0) is None
+    assert trials == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_iteration_budget_respected(rng):
