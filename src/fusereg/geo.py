@@ -23,6 +23,8 @@ FOOTPRINT_MARGIN = 300.0  # metres added around a photo footprint
 
 RGB_WAVELENGTHS = (640.0, 549.0, 460.0)
 
+RASTER_BLOCK = 1 << 15  # returns gridded per pass: bounds rasterize's working memory
+
 
 # ---------------------------------------------------------------------------
 # LiDAR point clouds
@@ -199,8 +201,12 @@ def rasterize_lidar(
     """Grid the cloud into mean-intensity cells (all returns pooled).
 
     Without an explicit geometry the grid is derived from the point extent
-    with nodes on multiples of the cell size.  Cells receiving no points
-    come back as nodata.
+    with nodes on multiples of the cell size.  Cells are half-open: the
+    cell of node k spans pixel coordinates [k - 0.5, k + 0.5), so a return
+    on the edge between two cells lands in the upper one.  Cells receiving
+    no points come back as nodata.  The returns are binned
+    ``RASTER_BLOCK`` at a time, so the working memory beyond the grid is
+    that of one block, however many returns the cloud holds.
     """
     if not (np.isfinite(cell_size) and cell_size > 0):
         raise ParameterError("cell_size must be finite and positive")
@@ -217,14 +223,20 @@ def rasterize_lidar(
             origin_easting=float(min_e),
             origin_northing=float(min_n),
         )
-    px, py = geometry.world_to_pixel(cloud.easting, cloud.northing)
-    col = np.rint(px).astype(np.int64)
-    row = np.rint(py).astype(np.int64)
-    inside = (col >= 0) & (col < geometry.width) & (row >= 0) & (row < geometry.height)
-    idx = row[inside] * geometry.width + col[inside]
     n_cells = geometry.width * geometry.height
-    sums = np.bincount(idx, weights=cloud.intensity[inside], minlength=n_cells)
-    counts = np.bincount(idx, minlength=n_cells)
+    sums = np.zeros(n_cells)
+    counts = np.zeros(n_cells, dtype=np.int64)
+    # ``add.at`` adds in point order, as one whole-cloud ``bincount`` would,
+    # so every cell sum keeps its bits whatever the block size
+    for start in range(0, len(cloud), RASTER_BLOCK):
+        block = slice(start, start + RASTER_BLOCK)
+        px, py = geometry.world_to_pixel(cloud.easting[block], cloud.northing[block])
+        col = np.floor(px + 0.5).astype(np.int64)
+        row = np.floor(py + 0.5).astype(np.int64)
+        inside = (col >= 0) & (col < geometry.width) & (row >= 0) & (row < geometry.height)
+        idx = row[inside] * geometry.width + col[inside]
+        np.add.at(sums, idx, cloud.intensity[block][inside])
+        np.add.at(counts, idx, 1)
     empty = counts == 0
     values = sums / np.where(empty, 1, counts)
     return ScalarImage(geometry, values.reshape(geometry.shape), empty.reshape(geometry.shape))

@@ -203,52 +203,84 @@ def _require_same_shape(a: GridGeometry, b: GridGeometry, what: str):
 # sampling and warping
 
 
-def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False):
-    """Vectorized bilinear sampling.
+def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False, cell=False):
+    """Vectorized bilinear sampling: the one kernel behind every bilinear
+    warp, sample and transfer.
 
-    Returns (sampled values, invalid flags, cell), where cell holds the
-    in-cell fractions, their complements and the four corner values
-    ``(fx, fy, 1 - fx, 1 - fy, v00, v10, v01, v11)``.  Out-of-domain points
+    Returns (sampled values, invalid flags, cell).  Out-of-domain points
     are flagged unless ``edge_clamp`` is set, in which case coordinates are
     clamped to the grid hull.  A point is also invalid when any neighbour
     with nonzero interpolation weight is masked.  With ``edge_clamp`` and
     no mask nothing can be invalid, and the flags are None.  ``values`` may
     stack several images on leading axes; they are all sampled from the
-    one cell computation.
+    one cell computation.  With ``cell`` set, cell holds the in-cell
+    fractions, their complements and the four corner values
+    ``(fx, fy, 1 - fx, 1 - fy, v00, v10, v01, v11)`` for the caller to
+    reuse as scratch; otherwise it is None.
+
+    The kernel works in place, in a fixed number of coordinate-sized
+    buffers: the clipped coordinates become the fractions, their floors
+    the flat corner index and then the complements, and one flat index
+    advances through the corners k, k + 1, k + w, k + w + 1, gathering
+    values and mask alike.  Each corner's weight is the product of a
+    fraction and a complement, and the result is the sum
+    ``((w00 v00 + w10 v10) + w01 v01) + w11 v11`` in that order, so every
+    sample keeps the bits of the textbook formula.
     """
     h, w = values.shape[-2:]
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc), w - 2).astype(np.int64)
-    y0 = np.minimum(np.floor(yc), h - 2).astype(np.int64)
-    fx = xc - x0
-    fy = yc - y0
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    w00 = gx * gy
-    w10 = fx * gy
-    w01 = gx * fy
-    w11 = fx * fy
-    # the corners at flat positions k, k + 1, k + w, k + w + 1: ``take`` on
-    # the raveled grid gathers what 2-D fancy indexing would, several
-    # times faster
-    k = y0 * w + x0
-    corners = (k, k + 1, k + w, k + w + 1)
+    fx = np.clip(xs, 0.0, w - 1.0)
+    fy = np.clip(ys, 0.0, h - 1.0)
+    gx = np.floor(fx)
+    gy = np.floor(fy)
+    np.minimum(gx, w - 2, out=gx)
+    np.minimum(gy, h - 2, out=gy)
+    fx -= gx
+    fy -= gy
+    # integral floats well below 2**53, so the index is exact
+    gy *= w
+    gy += gx
+    k = gy.astype(np.int64)
+    np.subtract(1.0, fx, out=gx)
+    np.subtract(1.0, fy, out=gy)
     flat = values.reshape(values.shape[:-2] + (h * w,))
-    v00, v10, v01, v11 = (np.take(flat, c, axis=-1) for c in corners)
-    v = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
     bad = None if edge_clamp else (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
     if mask is not None:
-        m00, m10, m01, m11 = (np.take(mask.ravel(), c).astype(np.float64) for c in corners)
-        touched = w00 * m00 + w10 * m10 + w01 * m01 + w11 * m11 > 0.0
-        bad = touched if bad is None else bad | touched
-    return v, bad, (fx, fy, gx, gy, v00, v10, v01, v11)
+        flat_mask = mask.ravel()
+        bad = np.zeros(k.shape, dtype=bool) if bad is None else bad
+    corners = []
+    v = None
+    weight = np.empty_like(fx)
+    for (a, b), step in zip(((gx, gy), (fx, gy), (gx, fy), (fx, fy)), (0, 1, w - 1, 1)):
+        k += step
+        np.multiply(a, b, out=weight)
+        if mask is not None:
+            # a sum of non-negative weights times 0/1 flags is positive
+            # exactly when one flagged corner has a positive weight
+            touched = np.take(flat_mask, k)
+            touched &= weight > 0.0
+            bad |= touched
+        # ``take`` on the raveled grid gathers what 2-D fancy indexing
+        # would, several times faster
+        corner = np.take(flat, k, axis=-1)
+        if cell:
+            corners.append(corner)
+            # the first term becomes v; later ones reuse the weight buffer
+            term = np.multiply(weight, corner, out=weight if v is not None else None)
+        else:
+            term = np.multiply(corner, weight, out=corner)
+        if v is None:
+            v = term
+        else:
+            v += term
+    return v, bad, ((fx, fy, gx, gy, *corners) if cell else None)
 
 
 def _nearest_arrays(values, mask, xs, ys):
+    """Nearest-node sampling; a point halfway between two nodes takes the
+    upper one, as a LiDAR return on a cell edge does."""
     h, w = values.shape
-    xi = np.rint(xs)
-    yi = np.rint(ys)
+    xi = np.floor(xs + 0.5)
+    yi = np.floor(ys + 0.5)
     bad = (xi < 0) | (xi > w - 1) | (yi < 0) | (yi > h - 1)
     xi = np.clip(xi, 0, w - 1).astype(np.int64)
     yi = np.clip(yi, 0, h - 1).astype(np.int64)
@@ -332,13 +364,21 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
     px = xs - u.u_x
     py = ys - u.u_y
     v, _, (fx, fy, gx, gy, v00, v10, v01, v11) = _bilinear_arrays(
-        image.values, None, px, py, edge_clamp=True
+        image.values, None, px, py, edge_clamp=True, cell=True
     )
     h, w = image.geometry.shape
-    dvdx = gy * (v10 - v00) + fy * (v11 - v01)
-    dvdy = gx * (v01 - v00) + fx * (v11 - v10)
-    dvdx[(px < 0.0) | (px > w - 1.0)] = 0.0
-    dvdy[(py < 0.0) | (py > h - 1.0)] = 0.0
+    x_clamped = (px < 0.0) | (px > w - 1.0)
+    y_clamped = (py < 0.0) | (py > h - 1.0)
+    # dvdx = gy (v10 - v00) + fy (v11 - v01) and dvdy = gx (v01 - v00) +
+    # fx (v11 - v10), each written into a buffer the warp is done with
+    dvdx = np.subtract(v10, v00, out=px)
+    dvdx *= gy
+    dvdy = np.subtract(v01, v00, out=py)
+    dvdy *= gx
+    dvdx += np.multiply(np.subtract(v11, v01, out=v01), fy, out=v01)
+    dvdy += np.multiply(np.subtract(v11, v10, out=v10), fx, out=v10)
+    np.copyto(dvdx, 0.0, where=x_clamped)
+    np.copyto(dvdy, 0.0, where=y_clamped)
     return ScalarImage(u.geometry, v, None), dvdx, dvdy
 
 

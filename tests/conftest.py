@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,19 @@ def texture64():
 def random_image(geometry, rng, lo=0.0, hi=1.0):
     vals = rng.uniform(lo, hi, geometry.shape)
     return ScalarImage(geometry, vals)
+
+
+def traced_peak(fn):
+    """Bytes that ``fn()`` allocates at its peak, above what was live
+    before the call (tracemalloc; numpy reports its array buffers)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -5,6 +5,7 @@ import pytest
 
 from fusereg.errors import FormatError, GeometryError, ParameterError, PlacementError
 from fusereg.geo import (
+    RASTER_BLOCK,
     Footprint,
     HyperspectralCube,
     LidarPointCloud,
@@ -23,6 +24,8 @@ from fusereg.geo import (
     warp_cube,
 )
 from fusereg.grid import DisplacementField, GridGeometry, ScalarImage
+
+from conftest import traced_peak
 
 
 def tiny_cloud(**overrides):
@@ -144,8 +147,9 @@ def test_rasterize_means_points_per_cell():
     assert img.values[0, 0] == 100.0
     assert img.values[0, 1] == 200.0
     assert img.values[1, 1] == 50.0
-    # 12.5 rounds to pixel 2 (12.5 - 10 = 2.5 -> rint gives the even 2)
-    assert img.values[1, 2] == 75.0
+    # 12.5 sits on the edge between pixels 2 and 3 (12.5 - 10 = 2.5):
+    # cells are half-open, so it lands in the upper 3
+    assert img.values[1, 3] == 75.0
     assert img.nodata is not None
     assert img.nodata[0, 2] and img.nodata[1, 0]
 
@@ -163,6 +167,98 @@ def test_rasterize_averages_and_masks_empty():
     assert img.values[2, 3] == 5.0
     assert img.nodata is not None
     assert img.nodata[1, 1]  # nothing landed there
+
+
+def _rasterize_reference(cloud, geometry):
+    """Whole-cloud gridding in one ``bincount``: (values, empty cells)."""
+    px, py = geometry.world_to_pixel(cloud.easting, cloud.northing)
+    col = np.floor(px + 0.5).astype(np.int64)
+    row = np.floor(py + 0.5).astype(np.int64)
+    inside = (col >= 0) & (col < geometry.width) & (row >= 0) & (row < geometry.height)
+    idx = row[inside] * geometry.width + col[inside]
+    n_cells = geometry.width * geometry.height
+    sums = np.bincount(idx, weights=cloud.intensity[inside], minlength=n_cells)
+    counts = np.bincount(idx, minlength=n_cells)
+    empty = counts == 0
+    values = np.where(empty, 0.0, sums / np.where(empty, 1, counts))
+    return values.reshape(geometry.shape), empty.reshape(geometry.shape)
+
+
+def _cloud(easting, northing, intensity):
+    n = len(easting)
+    return LidarPointCloud(easting, northing, np.zeros(n), intensity, np.ones(n, int))
+
+
+def _assert_matches_reference(img, cloud):
+    values, empty = _rasterize_reference(cloud, img.geometry)
+    assert img.values.tobytes() == values.tobytes()
+    assert (~img.valid_mask).tobytes() == empty.tobytes()
+
+
+@pytest.mark.parametrize("cell", [1.0, 0.37])
+def test_blocked_rasterize_is_bit_identical_to_one_bincount(cell, rng):
+    # several blocks plus a partial one; centimetre coordinates put
+    # returns exactly on cell edges
+    n = 2 * RASTER_BLOCK + 1234
+    cloud = _cloud(
+        np.round(rng.uniform(500.0, 560.0, n), 2),
+        np.round(rng.uniform(-20.0, 25.0, n), 2),
+        rng.uniform(0.0, 255.0, n),
+    )
+    _assert_matches_reference(rasterize_lidar(cloud, cell_size=cell), cloud)
+
+
+def test_blocked_rasterize_keeps_point_order_across_a_block_boundary():
+    # one cell takes 2**53 as the last return of the first block and 1.0
+    # twice from the next: added in point order each 1.0 is lost to
+    # rounding, while per-block partial sums would keep their 2.0
+    n = RASTER_BLOCK + 2
+    easting = np.zeros(n)
+    easting[RASTER_BLOCK - 1:] = 5.0
+    intensity = np.ones(n)
+    intensity[RASTER_BLOCK - 1] = 2.0**53
+    cloud = _cloud(easting, np.zeros(n), intensity)
+    img = rasterize_lidar(cloud, cell_size=1.0)
+    assert img.values[0, 5] == 2.0**53 / 3.0
+    _assert_matches_reference(img, cloud)
+
+
+def test_blocked_rasterize_with_a_geometry_that_drops_returns(rng):
+    n = RASTER_BLOCK + 777
+    cloud = _cloud(rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 80.0, n), rng.uniform(0.0, 9.0, n))
+    g = GridGeometry(30, 25, 1.5, 1.25, 20.0, 10.0)
+    img = rasterize_lidar(cloud, geometry=g)
+    assert img.geometry == g
+    _assert_matches_reference(img, cloud)
+
+
+def test_rasterize_working_memory_does_not_grow_with_the_cloud(rng):
+    g = GridGeometry(64, 64, 1.0, 1.0, 0.0, 0.0)
+    n = 4 * RASTER_BLOCK
+
+    def peak(count):
+        # a third of the returns fall outside the grid
+        cloud = _cloud(rng.uniform(-10.0, 90.0, count), rng.uniform(0.0, 64.0, count),
+                       rng.uniform(0.0, 9.0, count))
+        return traced_peak(lambda: rasterize_lidar(cloud, geometry=g))
+
+    # the grid arrays (sums, counts, values, mask and their temporaries,
+    # eight bytes a cell each) plus one block of 64 bytes a return; the
+    # whole-cloud temporaries grew by about 60 bytes per added return
+    grid_arrays = 8 * 8 * g.width * g.height
+    assert peak(4 * n) - peak(n) <= grid_arrays + 64 * RASTER_BLOCK
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_rasterize_puts_edge_returns_in_the_upper_cell(axis):
+    # one return on each edge between cells k and k + 1, for k = 0..4
+    edges = np.arange(5) + 0.5
+    along, across = (edges, np.zeros(5)) if axis == "x" else (np.zeros(5), edges)
+    cloud = _cloud(along, across, 10.0 * (np.arange(5) + 1))
+    g = GridGeometry(6, 6, 1.0, 1.0, 0.0, 0.0)
+    img = rasterize_lidar(cloud, geometry=g)
+    line = img.values[0, :] if axis == "x" else img.values[:, 0]
+    np.testing.assert_array_equal(line, [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
 
 
 def test_rasterize_with_explicit_geometry():
@@ -278,6 +374,16 @@ def test_resample_cube_keeps_measured_values():
     for src, dst in zip(cube.bands, out.bands):
         ok = dst.valid_mask
         assert np.isin(dst.values[ok], src.values).all()
+
+
+def test_resample_cube_keeps_every_column_at_a_half_pixel_offset():
+    g = GridGeometry(8, 2)
+    band = ScalarImage(g, np.broadcast_to(np.arange(8.0), g.shape))
+    cube = HyperspectralCube(g, np.array([550.0]), [band])
+    target = GridGeometry(7, 2, 1.0, 1.0, 0.5, 0.0)
+    out = resample_cube(cube, target).bands[0]
+    assert out.nodata is None
+    np.testing.assert_array_equal(out.values[0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
 
 
 def test_warp_cube_zero_field_identity():

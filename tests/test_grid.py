@@ -26,7 +26,7 @@ from fusereg.grid import (
     warp_with_jacobian,
 )
 
-from conftest import random_image
+from conftest import random_image, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +702,106 @@ def test_warp_with_jacobian_zeroes_clamped_derivatives(rng):
     assert outside_x.any() and outside_y.any()
     assert not dvdx[outside_x].any() and not dvdy[outside_y].any()
     assert dvdx.flags.writeable and dvdy.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the in-place bilinear kernel against the textbook formulas
+
+
+def _bilinear_reference(values, mask, xs, ys, edge_clamp):
+    """The whole-array bilinear formulas: (values, invalid flags, cell)."""
+    h, w = values.shape[-2:]
+    xc = np.clip(xs, 0.0, w - 1.0)
+    yc = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(xc), w - 2).astype(np.int64)
+    y0 = np.minimum(np.floor(yc), h - 2).astype(np.int64)
+    fx = xc - x0
+    fy = yc - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    v00, v10 = values[..., y0, x0], values[..., y0, x0 + 1]
+    v01, v11 = values[..., y0 + 1, x0], values[..., y0 + 1, x0 + 1]
+    v = gx * gy * v00 + fx * gy * v10 + gx * fy * v01 + fx * fy * v11
+    bad = None if edge_clamp else (xs < 0.0) | (xs > w - 1.0) | (ys < 0.0) | (ys > h - 1.0)
+    if mask is not None:
+        m = mask.astype(np.float64)
+        m00, m10 = m[y0, x0], m[y0, x0 + 1]
+        m01, m11 = m[y0 + 1, x0], m[y0 + 1, x0 + 1]
+        touched = gx * gy * m00 + fx * gy * m10 + gx * fy * m01 + fx * fy * m11 > 0.0
+        bad = touched if bad is None else bad | touched
+    return v, bad, (fx, fy, gx, gy, v00, v10, v01, v11)
+
+
+def _edge_and_node_field(g, rng):
+    """A field whose sample points reach past every edge and sit exactly on
+    nodes, on the far edges included."""
+    h, w = g.shape
+    xs, ys = np.meshgrid(np.arange(float(w)), np.arange(float(h)))
+    ux = rng.normal(0.0, 0.4 * w, g.shape)
+    uy = rng.normal(0.0, 0.4 * h, g.shape)
+    ux[::2, ::3] = np.round(ux[::2, ::3])
+    uy[::3, ::2] = np.round(uy[::3, ::2])
+    ux[-1, :] = xs[-1, :] - (w - 1.0)  # px = w - 1
+    uy[:, -1] = ys[:, -1] - (h - 1.0)  # py = h - 1
+    ux[0, :] = xs[0, :]  # px = 0
+    return DisplacementField(g, ux, uy)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 2), (17, 23)])
+def test_warp_with_jacobian_is_bit_identical_to_the_formulas(shape, rng):
+    g = GridGeometry(shape[1], shape[0])
+    image = ScalarImage(g, rng.normal(size=shape))
+    u = _edge_and_node_field(g, rng)
+    xs, ys = np.meshgrid(np.arange(float(shape[1])), np.arange(float(shape[0])))
+    px, py = xs - u.u_x, ys - u.u_y
+    v, _, (fx, fy, gx, gy, v00, v10, v01, v11) = _bilinear_reference(
+        image.values, None, px, py, True
+    )
+    dvdx = gy * (v10 - v00) + fy * (v11 - v01)
+    dvdy = gx * (v01 - v00) + fx * (v11 - v10)
+    dvdx[(px < 0.0) | (px > shape[1] - 1.0)] = 0.0
+    dvdy[(py < 0.0) | (py > shape[0] - 1.0)] = 0.0
+    warped, got_dx, got_dy = warp_with_jacobian(image, u)
+    assert warped.values.tobytes() == v.tobytes()
+    assert got_dx.tobytes() == dvdx.tobytes()
+    assert got_dy.tobytes() == dvdy.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 2), (17, 23)])
+def test_masked_warp_is_bit_identical_to_the_formulas(shape, rng):
+    g = GridGeometry(shape[1], shape[0])
+    mask = rng.random(shape) < 0.2
+    mask[0, 0] = True
+    image = ScalarImage(g, rng.normal(size=shape), mask)
+    u = _edge_and_node_field(g, rng)
+    xs, ys = np.meshgrid(np.arange(float(shape[1])), np.arange(float(shape[0])))
+    v, bad, _ = _bilinear_reference(image.values, image.nodata, xs - u.u_x, ys - u.u_y, False)
+    want = ScalarImage(g, v, bad)
+    got = warp(image, u)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.valid_mask.tobytes() == want.valid_mask.tobytes()
+
+
+def test_prolong_is_bit_identical_to_the_formulas(rng):
+    fine = GridGeometry(23, 18)
+    coarse = fine.coarsened()
+    u = _edge_and_node_field(coarse, rng)
+    xs, ys = np.meshgrid(np.arange(23.0), np.arange(18.0))
+    (ux, uy), _, _ = _bilinear_reference(
+        np.stack([u.u_x, u.u_y]), None, xs / 2.0, ys / 2.0, True
+    )
+    got = prolong(u, fine)
+    assert got.u_x.tobytes() == (2.0 * ux).tobytes()
+    assert got.u_y.tobytes() == (2.0 * uy).tobytes()
+
+
+def test_warp_with_jacobian_works_in_bounded_memory(rng):
+    g = GridGeometry(160, 192)
+    image = random_image(g, rng)
+    u = DisplacementField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    warp_with_jacobian(image, u)  # fills the pixel-grid memo
+    grids = traced_peak(lambda: warp_with_jacobian(image, u)) / (8.0 * 160 * 192)
+    # the three outputs, the two sample coordinates and eight kernel
+    # buffers (fractions, complements, corner index, weight and the four
+    # corners) make 13 grid-sized arrays; whole-array temporaries made 25
+    assert grids < 16.0
