@@ -54,7 +54,6 @@ from .grid import (
     normalize_intensity,
     prolong,
     resample_to_geometry,
-    sample,
     warp,
 )
 from .nonparametric import (
@@ -121,7 +120,6 @@ __all__ = [
     "resample_to_geometry",
     "rgb_composite",
     "run_experiment",
-    "sample",
     "select_band",
     "ssd",
     "synthetic_texture",

@@ -51,12 +51,18 @@ def bilaplacian(u: DisplacementField) -> DisplacementField:
 
 # one slot is one level's constant
 @functools.lru_cache(maxsize=1)
+@np.errstate(over="ignore", invalid="ignore")
 def _neumann_factor(h: int, w: int, c: float) -> np.ndarray:
-    """Read-only eigenvalue factor 1 / (1 + c lam^2) of :func:`neumann_solve`."""
+    """Read-only eigenvalue factor 1 / (1 + c lam^2) of :func:`neumann_solve`.
+
+    A c lam^2 past the float range gives the factor's limit, 0, and the
+    mean (lam = 0) passes unchanged, also at c = inf.
+    """
     ly = -4.0 * np.sin(np.pi * np.arange(h) / (2.0 * h)) ** 2
     lx = -4.0 * np.sin(np.pi * np.arange(w) / (2.0 * w)) ** 2
     lam = ly[:, None] + lx[None, :]
     factor = 1.0 / (1.0 + c * lam * lam)
+    factor[0, 0] = 1.0
     factor.flags.writeable = False
     return factor
 

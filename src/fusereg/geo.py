@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, GeometryError, ParameterError, PlacementError
-from .grid import GridGeometry, ScalarImage, resample_to_geometry, warp
+from .grid import GridGeometry, ScalarImage, _round_half_up, resample_to_geometry, warp
 from . import raster_io
 
 GROUND_PITCH = 0.3  # metres of ground per photo pixel at nominal altitude
@@ -24,6 +24,10 @@ FOOTPRINT_MARGIN = 300.0  # metres added around a photo footprint
 RGB_WAVELENGTHS = (640.0, 549.0, 460.0)
 
 RASTER_BLOCK = 1 << 15  # returns gridded per pass: bounds rasterize's working memory
+# cells in a grid derived from input (a point extent, mosaic tile origins):
+# 2^25 cells (5793^2, 0.5 GiB of float64 and int64 per-cell buffers) sits
+# far above every benchmark grid, far below what a stray return asks for
+MAX_GRID_CELLS = 1 << 25
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +210,31 @@ def rasterize_lidar(
     on the edge between two cells lands in the upper one.  Cells receiving
     no points come back as nodata.  The returns are binned
     ``RASTER_BLOCK`` at a time, so the working memory beyond the grid is
-    that of one block, however many returns the cloud holds.
+    that of one block, however many returns the cloud holds.  A derived
+    grid of more than ``MAX_GRID_CELLS`` cells is refused with
+    :class:`ParameterError`, before anything is allocated.
     """
     if not (np.isfinite(cell_size) and cell_size > 0):
         raise ParameterError("cell_size must be finite and positive")
     if geometry is None:
-        min_e = np.floor(float(np.min(cloud.easting)) / cell_size) * cell_size
-        min_n = np.floor(float(np.min(cloud.northing)) / cell_size) * cell_size
-        width = int(np.floor((cloud.easting.max() - min_e) / cell_size + 0.5)) + 1
-        height = int(np.floor((cloud.northing.max() - min_n) / cell_size + 0.5)) + 1
+        lo_e, hi_e = float(np.min(cloud.easting)), float(np.max(cloud.easting))
+        lo_n, hi_n = float(np.min(cloud.northing)), float(np.max(cloud.northing))
+        # an extent too wide for floats comes out inf or NaN, which the
+        # cap test refuses too
+        with np.errstate(over="ignore", invalid="ignore"):
+            min_e = np.floor(lo_e / cell_size) * cell_size
+            min_n = np.floor(lo_n / cell_size) * cell_size
+            width = _round_half_up((hi_e - min_e) / cell_size) + 1
+            height = _round_half_up((hi_n - min_n) / cell_size) + 1
+            cells = max(width, 2) * max(height, 2)
+        if not cells <= MAX_GRID_CELLS:
+            raise ParameterError(
+                "returns span %.6g m x %.6g m, more than %d cells at cell size %g"
+                % (hi_e - lo_e, hi_n - lo_n, MAX_GRID_CELLS, cell_size)
+            )
         geometry = GridGeometry(
-            width=max(width, 2),
-            height=max(height, 2),
+            width=max(int(width), 2),
+            height=max(int(height), 2),
             spacing_x=cell_size,
             spacing_y=cell_size,
             origin_easting=float(min_e),
@@ -231,8 +248,8 @@ def rasterize_lidar(
     for start in range(0, len(cloud), RASTER_BLOCK):
         block = slice(start, start + RASTER_BLOCK)
         px, py = geometry.world_to_pixel(cloud.easting[block], cloud.northing[block])
-        col = np.floor(px + 0.5).astype(np.int64)
-        row = np.floor(py + 0.5).astype(np.int64)
+        col = _round_half_up(px).astype(np.int64)
+        row = _round_half_up(py).astype(np.int64)
         inside = (col >= 0) & (col < geometry.width) & (row >= 0) & (row < geometry.height)
         idx = row[inside] * geometry.width + col[inside]
         np.add.at(sums, idx, cloud.intensity[block][inside])
@@ -472,6 +489,11 @@ class SeamRecord:
 
 def _lattice_offset(value: float, base: float, spacing: float) -> int:
     off = (value - base) / spacing
+    if not abs(off) <= MAX_GRID_CELLS:
+        raise PlacementError(
+            "tile origin offset of %.6g cells exceeds the %d-cell mosaic limit"
+            % (off, MAX_GRID_CELLS)
+        )
     rounded = int(np.rint(off))
     if abs(off - rounded) > 1e-6:
         raise PlacementError(
@@ -511,6 +533,11 @@ def mosaic(tiles):
         )
     width = max(ox + img.geometry.width for (ox, _), (_, img) in zip(offsets, tiles))
     height = max(oy + img.geometry.height for (_, oy), (_, img) in zip(offsets, tiles))
+    if width * height > MAX_GRID_CELLS:
+        raise PlacementError(
+            "tiles span %d x %d cells, more than the %d-cell mosaic limit"
+            % (width, height, MAX_GRID_CELLS)
+        )
     geometry = GridGeometry(
         width=width,
         height=height,

@@ -55,6 +55,8 @@ class GridGeometry:
     def shape(self) -> tuple[int, int]:
         return (self.height, self.width)
 
+    # a coordinate past the float range maps to +-inf, off every grid
+    @np.errstate(over="ignore")
     def pixel_to_world(self, x, y):
         """Map pixel coordinates to (easting, northing)."""
         return (
@@ -62,6 +64,7 @@ class GridGeometry:
             self.origin_northing + np.asarray(y, dtype=float) * self.spacing_y,
         )
 
+    @np.errstate(over="ignore")
     def world_to_pixel(self, easting, northing):
         """Inverse of :meth:`pixel_to_world`."""
         return (
@@ -166,22 +169,6 @@ class DisplacementField:
         z = np.zeros(geometry.shape)
         return cls(geometry, z, z.copy())
 
-    def as_vector(self) -> np.ndarray:
-        """Flatten to a single 1-D array (u_x block then u_y block)."""
-        return np.concatenate([self.u_x.ravel(), self.u_y.ravel()])
-
-    @classmethod
-    def from_vector(cls, geometry: GridGeometry, vec: np.ndarray) -> "DisplacementField":
-        n = geometry.width * geometry.height
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (2 * n,):
-            raise GeometryError("vector length does not match grid")
-        return cls(
-            geometry,
-            vec[:n].reshape(geometry.shape),
-            vec[n:].reshape(geometry.shape),
-        )
-
     def max_norm(self) -> float:
         return float(np.sqrt(np.max(self.u_x * self.u_x + self.u_y * self.u_y)))
 
@@ -205,7 +192,7 @@ def _require_same_shape(a: GridGeometry, b: GridGeometry, what: str):
 
 def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False, cell=False):
     """Vectorized bilinear sampling: the one kernel behind every bilinear
-    warp, sample and transfer.
+    warp, resample and transfer.
 
     Returns (sampled values, invalid flags, cell).  Out-of-domain points
     are flagged unless ``edge_clamp`` is set, in which case coordinates are
@@ -275,12 +262,25 @@ def _bilinear_arrays(values, mask, xs, ys, edge_clamp=False, cell=False):
     return v, bad, ((fx, fy, gx, gy, *corners) if cell else None)
 
 
+def _round_half_up(p):
+    """Nearest integer to ``p`` (floats), a half rounding up: the cell rule
+    of nearest-node sampling and of LiDAR gridding.
+
+    Written as ``floor(p) + (p - floor(p) >= 0.5)``, whose subtraction is
+    exact, it holds for every float; ``floor(p + 0.5)`` rounds the sum,
+    so p = 0.49999999999999994 would land in cell 1.
+    """
+    cell = np.floor(p)
+    with np.errstate(invalid="ignore"):  # inf - inf: +-inf stays put
+        return cell + (p - cell >= 0.5)
+
+
 def _nearest_arrays(values, mask, xs, ys):
     """Nearest-node sampling; a point halfway between two nodes takes the
     upper one, as a LiDAR return on a cell edge does."""
     h, w = values.shape
-    xi = np.floor(xs + 0.5)
-    yi = np.floor(ys + 0.5)
+    xi = _round_half_up(xs)
+    yi = _round_half_up(ys)
     bad = (xi < 0) | (xi > w - 1) | (yi < 0) | (yi > h - 1)
     xi = np.clip(xi, 0, w - 1).astype(np.int64)
     yi = np.clip(yi, 0, h - 1).astype(np.int64)
@@ -305,22 +305,6 @@ def _sample_field(u: DisplacementField, xs, ys):
     edge clamped."""
     (ux, uy), _, _ = _bilinear_arrays(np.stack([u.u_x, u.u_y]), None, xs, ys, edge_clamp=True)
     return ux, uy
-
-
-def sample(image: ScalarImage, x: float, y: float, mode: str = "bilinear"):
-    """Sample one point in pixel coordinates.
-
-    Returns ``(value, valid)``; out-of-domain or mask-contaminated points
-    give ``(0.0, False)``.
-    """
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ParameterError("sample point must be finite")
-    xs = np.asarray([float(x)])
-    ys = np.asarray([float(y)])
-    v, bad = _sample_arrays(image, xs, ys, mode)
-    if bad[0]:
-        return 0.0, False
-    return float(v[0]), True
 
 
 # one slot is one level's constant

@@ -184,6 +184,9 @@ def _distance(warped, reference, config):
     return similarity.evaluate(config.measure, warped, reference, **_measure_parameters(config))
 
 
+# a term past the float range is inf: a trial the line search rejects, or
+# a start that descend refuses
+@np.errstate(over="ignore")
 def _objective_full(u, template, reference, config):
     """Objective value, its two terms, the gradient as one ``(2, h, w)``
     array, and the warp's Jacobian ``(dtdx, dtdy)``.
@@ -246,6 +249,8 @@ def _conjugate_gradient(apply_h, rhs, precondition):
             break
         z = precondition(r)
         rz_new = _dot(r, z, buf)
+        if rz_new <= 0.0:  # a preconditioner singular on r: no progress left
+            break
         # p = z + beta p; p no longer aliases z, which is fresh
         p *= rz_new / rz
         p += z
@@ -312,7 +317,8 @@ def _seed_ratio(s, y, alpha):
     ss, sq, qq = _dot(s, s), _dot(s, q), _dot(q, q)
     sy, qy = _dot(s, y), _dot(q, y)
     det = ss * qq - sq * sq
-    if not (qq > (SEED_FIT_MIN_BS * alpha) ** 2 * ss and det > SEED_FIT_MIN_SIN2 * ss * qq):
+    q_min = SEED_FIT_MIN_BS * alpha  # squared by a product: a float ** raises on overflow
+    if not (qq > q_min * q_min * ss and det > SEED_FIT_MIN_SIN2 * ss * qq):
         return alpha, False
     a = (qq * sy - sq * qy) / det
     b = (ss * qy - sq * sy) / det

@@ -1,4 +1,4 @@
-"""Flat-binary raster container and PGM export.
+"""Flat-binary raster container and 8-bit PGM export.
 
 A raster is stored as raw little-endian float32 samples, band sequential,
 row major, next to a text sidecar ``<path>.hdr`` of ``key = value`` lines::
@@ -208,57 +208,16 @@ def read_field(path) -> DisplacementField:
 # PGM export for visual inspection
 
 
-def write_pgm(path, values: np.ndarray, bits: int = 8):
-    """Binary PGM (P5) of values in [0, 1]; out-of-range values are
+def write_pgm(path, values: np.ndarray):
+    """8-bit binary PGM (P5) of values in [0, 1]; out-of-range values are
     clipped, NaN is refused."""
-    if bits not in (8, 16):
-        raise FormatError("PGM depth must be 8 or 16 bits")
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise FormatError("PGM expects a 2-D array")
     if np.isnan(arr).any():
         raise FormatError("PGM values must not be NaN")
-    maxval = (1 << bits) - 1
-    q = np.clip(np.rint(np.clip(arr, 0.0, 1.0) * maxval), 0, maxval)
-    header = "P5\n%d %d\n%d\n" % (arr.shape[1], arr.shape[0], maxval)
-    if bits == 8:
-        payload = q.astype(np.uint8).tobytes()
-    else:
-        payload = q.astype(">u2").tobytes()
+    q = np.rint(np.clip(arr, 0.0, 1.0) * 255.0)
+    header = "P5\n%d %d\n255\n" % (arr.shape[1], arr.shape[0])
     with open(str(path), "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(payload)
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM back to floats in [0, 1]."""
-    with open(str(path), "rb") as fh:
-        data = fh.read()
-    tokens = []
-    idx = 0
-    while len(tokens) < 4 and idx < len(data):
-        # header tokens separated by whitespace, '#' starts a comment line
-        while idx < len(data) and data[idx : idx + 1].isspace():
-            idx += 1
-        if idx < len(data) and data[idx : idx + 1] == b"#":
-            while idx < len(data) and data[idx : idx + 1] != b"\n":
-                idx += 1
-            continue
-        start = idx
-        while idx < len(data) and not data[idx : idx + 1].isspace():
-            idx += 1
-        tokens.append(data[start:idx])
-    if len(tokens) != 4 or tokens[0] != b"P5":
-        raise FormatError("%s: not a binary PGM" % path)
-    idx += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise FormatError("%s: bad PGM header" % path) from exc
-    if w < 1 or h < 1 or not 1 <= maxval <= 65535:
-        raise FormatError("%s: bad PGM header" % path)
-    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
-    raw = np.frombuffer(data[idx:], dtype=dtype)
-    if raw.size != w * h:
-        raise FormatError("%s: truncated PGM payload" % path)
-    return raw.reshape(h, w).astype(np.float64) / maxval
+        fh.write(q.astype(np.uint8).tobytes())

@@ -305,8 +305,9 @@ def _ngf_parts(image: ScalarImage, eta: float):
     # gradients in intensity-per-pixel units, not per metre: eta then keeps
     # one meaning across pyramid levels (coarsening grows the spacing, and
     # per-metre gradients would sink below any fixed noise floor)
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ParameterError("eta must be finite and positive")
+    # a square that underflows to 0 drops the floor: 0 / 0 on flat patches
+    if not (eta > 0.0 and 0.0 < eta * eta < math.inf):
+        raise ParameterError("eta must be finite and positive, and so must its square")
     gx = gradient_axis(image.values, 1)
     gy = gradient_axis(image.values, 0)
     scale = np.sqrt(gx * gx + gy * gy + eta * eta)

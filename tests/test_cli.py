@@ -9,7 +9,7 @@ import pytest
 from fusereg import cli
 from fusereg.affine import AffineParams, affine_to_displacement
 from fusereg.cli import main
-from fusereg.errors import FormatError
+from fusereg.errors import DivergenceError, FormatError
 from fusereg.evaluation import (
     ExperimentScenario,
     SyntheticDeformation,
@@ -231,6 +231,19 @@ def test_register_constant_image_exits_4(tmp_path):
         "--tpl", tmp_path / "flat.raster", "--out", tmp_path / "x",
     )
     assert rc == 4
+
+
+def test_register_divergence_exits_4_with_its_message(tmp_path, monkeypatch, capsys):
+    ref, tpl = write_pair(tmp_path, n=32)
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("objective is not finite at the starting point")
+
+    monkeypatch.setattr(cli, "register_multilevel", diverge)
+    assert run("register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "new" / "hs") == 4
+    err = capsys.readouterr().err.splitlines()
+    assert "fusereg: registration diverged: objective is not finite at the starting point" in err
+    assert not (tmp_path / "new").exists()
 
 
 def test_register_missing_input_exits_3(tmp_path):

@@ -172,8 +172,10 @@ def test_rasterize_averages_and_masks_empty():
 def _rasterize_reference(cloud, geometry):
     """Whole-cloud gridding in one ``bincount``: (values, empty cells)."""
     px, py = geometry.world_to_pixel(cloud.easting, cloud.northing)
-    col = np.floor(px + 0.5).astype(np.int64)
-    row = np.floor(py + 0.5).astype(np.int64)
+    # floor(p) + (p - floor(p) >= 0.5): half up, exact for every float
+    col, row = np.floor(px), np.floor(py)
+    col = (col + (px - col >= 0.5)).astype(np.int64)
+    row = (row + (py - row >= 0.5)).astype(np.int64)
     inside = (col >= 0) & (col < geometry.width) & (row >= 0) & (row < geometry.height)
     idx = row[inside] * geometry.width + col[inside]
     n_cells = geometry.width * geometry.height
@@ -259,6 +261,14 @@ def test_rasterize_puts_edge_returns_in_the_upper_cell(axis):
     img = rasterize_lidar(cloud, geometry=g)
     line = img.values[0, :] if axis == "x" else img.values[:, 0]
     np.testing.assert_array_equal(line, [0.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+
+
+def test_rasterize_puts_a_return_one_ulp_below_an_edge_in_the_lower_cell():
+    # floor(p + 0.5) rounds 0.49999999999999994 + 0.5 up to 1: cell 1
+    cloud = _cloud(np.array([np.nextafter(0.5, 0.0), 1.5]), np.zeros(2), np.array([10.0, 20.0]))
+    img = rasterize_lidar(cloud, geometry=GridGeometry(4, 2))
+    np.testing.assert_array_equal(img.values[0], [10.0, 0.0, 20.0, 0.0])
+    np.testing.assert_array_equal(img.valid_mask[0], [True, False, True, False])
 
 
 def test_rasterize_with_explicit_geometry():

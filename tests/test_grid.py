@@ -10,6 +10,8 @@ from fusereg.grid import (
     GridGeometry,
     ScalarImage,
     _pixel_grid,
+    _round_half_up,
+    _sample_arrays,
     build_pyramid,
     displacement_to_geometry,
     downsample,
@@ -21,7 +23,6 @@ from fusereg.grid import (
     normalize_intensity,
     prolong,
     resample_to_geometry,
-    sample,
     warp,
     warp_with_jacobian,
 )
@@ -132,22 +133,6 @@ def test_image_rejects_wrong_shape(geom_small):
         ScalarImage(geom_small, np.ones((3, 3)))
 
 
-def test_field_vector_roundtrip(geom_small, rng):
-    u = DisplacementField(
-        geom_small, rng.normal(size=geom_small.shape), rng.normal(size=geom_small.shape)
-    )
-    v = u.as_vector()
-    assert v.shape == (2 * geom_small.width * geom_small.height,)
-    back = DisplacementField.from_vector(geom_small, v)
-    np.testing.assert_array_equal(back.u_x, u.u_x)
-    np.testing.assert_array_equal(back.u_y, u.u_y)
-
-
-def test_field_from_vector_rejects_bad_length(geom_small):
-    with pytest.raises(GeometryError):
-        DisplacementField.from_vector(geom_small, np.zeros(7))
-
-
 def test_field_max_norm(geom16):
     u = DisplacementField.zero(geom16)
     assert u.max_norm() == 0.0
@@ -165,6 +150,13 @@ def test_field_rejects_nonfinite(geom16):
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+def sample(image, x, y, mode="bilinear"):
+    """One point through the kernel every warp and resample runs:
+    ``(value, valid)``, ``(0.0, False)`` off the domain or on masked data."""
+    v, bad = _sample_arrays(image, np.array([float(x)]), np.array([float(y)]), mode)
+    return (0.0, False) if bad[0] else (float(v[0]), True)
 
 
 def test_sample_constant_image(geom16):
@@ -212,10 +204,46 @@ def test_sample_nearest_mode(geom16, rng):
     assert v == img.values[8, 3]
 
 
+def test_round_half_up_is_exact_one_ulp_below_a_half():
+    below = np.nextafter(0.5, 0.0)  # 0.49999999999999994
+    assert np.floor(below + 0.5) == 1.0  # the sum rounds up to 1
+    p = np.array([below, 0.5, -0.5, 1.5, -1.5, -below, np.nextafter(1.5, 0.0)])
+    np.testing.assert_array_equal(_round_half_up(p), [0.0, 1.0, 0.0, 2.0, -1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(_round_half_up(np.array([np.inf, -np.inf])), [np.inf, -np.inf])
+    # away from ties it is rint
+    q = np.random.default_rng(3).uniform(-50.0, 50.0, 1000)
+    np.testing.assert_array_equal(_round_half_up(q), np.rint(q))
+
+
+def test_nearest_resample_marks_pixels_drawn_from_masked_sources(geom16, rng):
+    mask = np.zeros(geom16.shape, bool)
+    mask[5, 5] = True
+    img = ScalarImage(geom16, rng.uniform(size=geom16.shape), mask)
+    # target pixel j sits at source x = j + 0.6, whose nearest node is j + 1
+    out = resample_to_geometry(img, GridGeometry(16, 16, 1.0, 1.0, 0.6, 0.0), mode="nearest")
+    want = np.zeros(geom16.shape, bool)
+    want[5, 4] = True
+    want[:, 15] = True  # x = 15.6 is off the grid
+    np.testing.assert_array_equal(~out.valid_mask, want)
+    np.testing.assert_array_equal(out.values[~want], img.values[:, 1:][~want[:, :15]])
+
+
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+def test_world_points_past_the_float_range_of_pixels_are_off_the_grid(mode):
+    # every node but the origin lies 1e308 m or some 1e320 pixels out:
+    # coordinates of inf, not warnings
+    want = np.ones((4, 4), bool)
+    want[0, 0] = False
+    fine = ScalarImage(GridGeometry(4, 4, 1e-320, 1e-320), np.ones((4, 4)))
+    out = resample_to_geometry(fine, GridGeometry(4, 4), mode=mode)
+    np.testing.assert_array_equal(~out.valid_mask, want)
+    coarse = GridGeometry(4, 4, 1e308, 1e308)
+    out = resample_to_geometry(ScalarImage(GridGeometry(4, 4), np.ones((4, 4))), coarse, mode=mode)
+    np.testing.assert_array_equal(~out.valid_mask, want)
+
+
 def test_sample_rejects_bad_input(geom16):
     img = ScalarImage(geom16, np.ones(geom16.shape))
-    with pytest.raises(ParameterError):
-        sample(img, np.nan, 1.0)
     with pytest.raises(ParameterError):
         sample(img, 1.0, 1.0, mode="cubic")
 

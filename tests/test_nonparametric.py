@@ -22,7 +22,10 @@ from fusereg.nonparametric import (
     register_level,
     register_multilevel,
 )
+from fusereg.optimize import MAX_BACKTRACKS
 from fusereg.similarity import evaluate
+
+from conftest import field_from_vector, field_vector
 
 
 def translation_pair(n=64, shift=(2.0, 0.0), seed=11, smoothness=2.0):
@@ -135,10 +138,10 @@ def test_objective_gradient_matches_fd(measure, rng):
     j, grad = objective(u, t, r, cfg)
     d = rng.normal(size=2 * g.width * g.height)
     h = 1e-6
-    up = DisplacementField.from_vector(g, u.as_vector() + h * d)
-    dn = DisplacementField.from_vector(g, u.as_vector() - h * d)
+    up = field_from_vector(g, field_vector(u) + h * d)
+    dn = field_from_vector(g, field_vector(u) - h * d)
     fd = (objective(up, t, r, cfg)[0] - objective(dn, t, r, cfg)[0]) / (2 * h)
-    got = float(np.dot(grad.as_vector(), d))
+    got = float(np.dot(field_vector(grad), d))
     assert got == pytest.approx(fd, rel=1e-4)
 
 
@@ -641,7 +644,7 @@ for solver in ("l-bfgs", "gauss-newton", "trust-region"):
     cfg = RegistrationConfig(measure="SSD", alpha=5.0, solver=solver, max_levels=2,
                              max_iters_per_level=15)
     u, trace = register_multilevel(tem, ref, cfg)
-    digest = hashlib.sha256(u.as_vector().tobytes() + trace.to_text().encode())
+    digest = hashlib.sha256(u.u_x.tobytes() + u.u_y.tobytes() + trace.to_text().encode())
     print(solver, trace.total_iterations(), digest.hexdigest())
 """
 
@@ -770,3 +773,44 @@ def test_multilevel_validates_normalization(texture64):
             synthetic_texture(GridGeometry(32, 32), seed=1),
             cfg,
         )
+
+
+def test_line_search_rule_stops_when_neither_direction_decreases():
+    # J has its minimum at x = 0, where rest[0] claims a nonzero gradient:
+    # J rises along the direction and along -g alike
+    trials = []
+
+    def fun(x):
+        trials.append(x)
+        return float(np.sum(x * x)), None
+
+    g = np.ones((2, 3, 3))
+    step = nonparametric._line_search_rule(lambda rest: -0.5 * rest[0])
+    assert step(fun, np.zeros_like(g), 0.0, (g, None)) is None
+    # both searches ran to their end, every trial uphill
+    assert len(trials) == 2 * MAX_BACKTRACKS and all(np.sum(x * x) > 0.0 for x in trials)
+
+
+def test_conjugate_gradient_stops_at_the_first_direction_of_negative_curvature():
+    applied = []
+
+    def apply_h(v):
+        applied.append(v)
+        return -v
+
+    x = nonparametric._conjugate_gradient(apply_h, np.ones((2, 3, 3)), lambda v: v)
+    assert len(applied) == 1
+    np.testing.assert_array_equal(x, 0.0)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_weights_past_the_float_range_make_trials_infinite_not_warnings(solver):
+    # alpha S(u) and dt alpha overflow: the line search rejects those
+    # trials, and the DCT inverses keep only the mean
+    g = GridGeometry(12, 12)
+    rng = np.random.default_rng(0)
+    tem, ref = (ScalarImage(g, rng.uniform(0.05, 0.95, g.shape)) for _ in range(2))
+    cfg = RegistrationConfig(measure="SSD", alpha=1e308, dt=1e308, solver=solver,
+                             max_iters_per_level=3)
+    _, trace = register_level(tem, ref, DisplacementField.zero(g), cfg)
+    assert all(np.isfinite(r.objective) for r in trace.records)

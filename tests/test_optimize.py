@@ -346,3 +346,18 @@ def test_runs_without_h0_fit_keep_their_bytes():
         res = minimize_lbfgs(fg, x0, max_iters=40, rel_tolerance=1e-14, callback=cb, **kwargs)
         assert res.iterations == iterations
         assert h.hexdigest() == digest
+
+
+def test_a_seed_that_is_not_spd_falls_back_to_steepest_descent():
+    # H0 = -I turns -H0 g into +g, uphill: the step rule drops the pairs and
+    # takes -g, the step an identity seed takes first
+    fun_grad = quadratic([1.0, 4.0, 9.0])
+    x0 = np.array([1.0, -2.0, 0.5])
+    firsts = []
+    for h0_solve in (lambda v: -v, None):
+        xs = []
+        res = minimize_lbfgs(fun_grad, x0, max_iters=20, h0_solve=h0_solve,
+                             callback=lambda k, x, f, g, step: xs.append(x))
+        assert res.iterations > 0 and res.fun < fun_grad(x0)[0]
+        firsts.append(xs[1])
+    assert firsts[0].tobytes() == firsts[1].tobytes()

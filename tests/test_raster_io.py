@@ -1,4 +1,4 @@
-"""Raster container and PGM round trips."""
+"""Raster container round trips and PGM export."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fusereg.grid import DisplacementField, GridGeometry, ScalarImage
 from fusereg.raster_io import (
     read_field,
     read_image,
-    read_pgm,
     read_raster,
     write_field,
     write_image,
@@ -16,7 +15,7 @@ from fusereg.raster_io import (
     write_raster,
 )
 
-from conftest import random_image
+from conftest import random_image, read_pgm
 
 
 def test_image_roundtrip(tmp_path, rng):
@@ -232,19 +231,10 @@ def test_pgm_roundtrip_8bit(tmp_path, rng):
     np.testing.assert_allclose(back, vals, atol=0.5 / 255 + 1e-12)
 
 
-def test_pgm_roundtrip_16bit(tmp_path, rng):
-    vals = rng.uniform(0.0, 1.0, (6, 6))
-    p = tmp_path / "v16.pgm"
-    write_pgm(p, vals, bits=16)
-    back = read_pgm(p)
-    np.testing.assert_allclose(back, vals, atol=0.5 / 65535 + 1e-12)
-
-
-@pytest.mark.parametrize("bits", (8, 16))
-def test_pgm_refuses_nan(tmp_path, bits):
+def test_pgm_refuses_nan(tmp_path):
     p = tmp_path / "nan.pgm"
     with pytest.raises(FormatError, match="NaN"):
-        write_pgm(p, np.array([[0.5, float("nan")]]), bits=bits)
+        write_pgm(p, np.array([[0.5, float("nan")]]))
     assert not p.exists()
 
 
@@ -256,8 +246,6 @@ def test_pgm_clips_out_of_range(tmp_path):
 
 
 def test_pgm_rejects_bad_input(tmp_path):
-    with pytest.raises(FormatError):
-        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), bits=12)
     with pytest.raises(FormatError):
         write_pgm(tmp_path / "x.pgm", np.zeros(4))
     p = tmp_path / "junk.pgm"

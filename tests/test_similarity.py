@@ -482,7 +482,8 @@ def test_ngf_rejects_bad_eta(geom16, rng):
         ngf(img, img, 0.0)
     with pytest.raises(ParameterError):
         ngf_field(img, -0.5)
-    for eta in (math.nan, math.inf):
+    # an eta^2 of 0 would drop the floor: 0 / 0 on flat patches
+    for eta in (math.nan, math.inf, 1e-200, 1e200):
         with pytest.raises(ParameterError):
             ngf(img, img, eta)
         with pytest.raises(ParameterError):
