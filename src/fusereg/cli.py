@@ -28,6 +28,7 @@ import numpy as np
 from . import geo, raster_io, similarity
 from .affine import affine_to_displacement, register_affine
 from .errors import (
+    DegenerateImageError,
     DivergenceError,
     FormatError,
     FuseRegError,
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .evaluation import checkerboard, difference_map, mean_abs_difference, registration_summary
 from .grid import (
+    MIN_INTENSITY_RANGE,
     displacement_to_geometry,
     normalize_intensity,
     resample_to_geometry,
@@ -132,16 +134,24 @@ def cmd_rasterize(args):
 
 
 def _load_pair(ref_path, tpl_path):
+    """Both rasters normalized, the template on the reference grid; a pair
+    that shares no valid pixel there is refused."""
     reference = normalize_intensity(raster_io.read_image(ref_path))
     template = normalize_intensity(raster_io.read_image(tpl_path))
     if template.geometry != reference.geometry:
         template = resample_to_geometry(template, reference.geometry)
+    if not (reference.valid_mask & template.valid_mask).any():
+        raise DegenerateImageError("%s and %s share no valid pixel" % (tpl_path, ref_path))
     return reference, template
 
 
 def cmd_register(args):
     cfg = _build_config(args)
     reference, template = _load_pair(args.ref, args.tpl)
+    if np.ptp(template.values[reference.valid_mask & template.valid_mask]) < MIN_INTENSITY_RANGE:
+        raise DegenerateImageError(
+            "%s is constant on the pixels it shares with %s" % (args.tpl, args.ref)
+        )
     outputs = {
         "field": args.out + ".field.raster",
         "registered": args.out + ".registered.raster",

@@ -24,6 +24,10 @@ class DegenerateImageError(FuseRegError):
 class FormatError(FuseRegError):
     """A file on disk does not conform to the expected layout."""
 
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row  # the first point record a point cloud refuses, if any
+
 
 class PlacementError(FuseRegError):
     """Mosaic tiles cannot be placed on a common grid."""

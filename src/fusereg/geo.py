@@ -28,6 +28,7 @@ RASTER_BLOCK = 1 << 15  # returns gridded per pass: bounds rasterize's working m
 # 2^25 cells (5793^2, 0.5 GiB of float64 and int64 per-cell buffers) sits
 # far above every benchmark grid, far below what a stray return asks for
 MAX_GRID_CELLS = 1 << 25
+RETURN_RANGE = "return numbers must be integers from 1 to 2**63 - 1"
 
 
 # ---------------------------------------------------------------------------
@@ -46,46 +47,49 @@ class LidarPointCloud:
     agc: np.ndarray | None = None
 
     def __post_init__(self):
-        arrays = {
-            "easting": self.easting,
-            "northing": self.northing,
-            "elevation": self.elevation,
-            "intensity": self.intensity,
-        }
-        n = None
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
+        """Whole-array faults first (shape, length, return dtype, empty),
+        then the first bad row, with the message of its first failing
+        check and its index as the error's ``row``."""
+        names = ("easting", "northing", "elevation", "intensity")
+        for name in names:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, arr)
             if arr.ndim != 1:
                 raise FormatError("%s must be 1-D" % name)
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
+            if arr.size != self.easting.size:
                 raise FormatError("point record arrays differ in length")
-            if not np.isfinite(arr).all():
-                raise FormatError("%s contains non-finite entries" % name)
         returns = np.asarray(self.return_number)
-        if returns.size != n:
+        if returns.size != self.easting.size:
             raise FormatError("point record arrays differ in length")
-        if returns.size and not (
-            returns.dtype.kind in "iuf"
-            and np.isfinite(returns).all()
-            and (returns >= 1).all()
-            and (returns < 2**63).all()
-            and (returns % 1 == 0).all()
-        ):
-            raise FormatError("return numbers must be integers from 1 to 2**63 - 1")
-        self.return_number = np.asarray(returns, dtype=np.int64)
-        if (self.intensity < 0).any():
-            raise FormatError("intensities must be non-negative")
+        if returns.size and returns.dtype.kind not in "iuf":
+            raise FormatError(RETURN_RANGE)
         if self.agc is not None:
             self.agc = np.asarray(self.agc, dtype=np.float64)
-            if self.agc.size != n:
+            if self.agc.size != self.easting.size:
                 raise FormatError("point record arrays differ in length")
-            if not np.isfinite(self.agc).all():
-                raise FormatError("agc contains non-finite entries")
-        if n == 0:
+        if self.easting.size == 0:
             raise FormatError("point cloud is empty")
+
+        def whole(r):  # integers in [1, 2**63)
+            with np.errstate(invalid="ignore"):  # inf % 1
+                return np.isfinite(r) & (r >= 1) & (r < 2**63) & (r % 1 == 0)
+
+        checks = [(name + " contains non-finite entries", getattr(self, name), np.isfinite)
+                  for name in names]
+        checks += [(RETURN_RANGE, returns, whole),
+                   ("intensities must be non-negative", self.intensity, lambda a: a >= 0)]
+        if self.agc is not None:
+            checks.append(("agc contains non-finite entries", self.agc, np.isfinite))
+        ok = np.ones(self.easting.size, dtype=bool)
+        for _, column, test in checks:
+            ok &= test(column)
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise FormatError(
+                next(msg for msg, column, test in checks if not test(column[row:row + 1])[0]),
+                row=row,
+            )
+        self.return_number = np.asarray(returns, dtype=np.int64)
 
     def __len__(self):
         return self.easting.size
@@ -108,25 +112,15 @@ class LidarPointCloud:
         except ValueError:  # UnicodeDecodeError included
             data = _scan_points(path)
 
-        def build(rows):
-            agc = rows[:, 5] if rows.shape[1] == 6 else None
-            return cls(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4], agc)
-
+        agc = data[:, 5] if data.shape[1] == 6 else None
         try:
-            return build(data)
+            return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], agc)
         except FormatError as exc:
-            err = exc
-        # a prefix is refused once it holds a bad row: bisect for the first,
-        # keeping the refusal of the shortest refused prefix
-        lo, hi = 0, len(data)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                build(data[:mid])
-                lo = mid
-            except FormatError as exc:
-                hi, err = mid, exc
-        raise FormatError("%s:%d: %s" % (path, _data_lines(path)[hi - 1][0], err)) from None
+            # a parsed table has no whole-array fault, so ``row`` is set,
+            # and its rows are the file's data lines in order
+            raise FormatError(
+                "%s:%d: %s" % (path, _data_lines(path)[exc.row][0], exc)
+            ) from None
 
 
 def _lines_before_data(lines, path) -> int:
@@ -522,15 +516,8 @@ def mosaic(tiles):
             raise PlacementError("tiles have different cell sizes")
     base_e = min(img.geometry.origin_easting for _, img in tiles)
     base_n = min(img.geometry.origin_northing for _, img in tiles)
-    offsets = []
-    for _, img in tiles:
-        g = img.geometry
-        offsets.append(
-            (
-                _lattice_offset(g.origin_easting, base_e, sx),
-                _lattice_offset(g.origin_northing, base_n, sy),
-            )
-        )
+    offsets = [(_lattice_offset(img.geometry.origin_easting, base_e, sx),
+                _lattice_offset(img.geometry.origin_northing, base_n, sy)) for _, img in tiles]
     width = max(ox + img.geometry.width for (ox, _), (_, img) in zip(offsets, tiles))
     height = max(oy + img.geometry.height for (_, oy), (_, img) in zip(offsets, tiles))
     if width * height > MAX_GRID_CELLS:
@@ -538,70 +525,40 @@ def mosaic(tiles):
             "tiles span %d x %d cells, more than the %d-cell mosaic limit"
             % (width, height, MAX_GRID_CELLS)
         )
-    geometry = GridGeometry(
-        width=width,
-        height=height,
-        spacing_x=sx,
-        spacing_y=sy,
-        origin_easting=base_e,
-        origin_northing=base_n,
-    )
+    geometry = GridGeometry(width, height, sx, sy, base_e, base_n)
     values = np.zeros(geometry.shape)
     owner = np.full(geometry.shape, -1, dtype=np.int64)
     for i, ((ox, oy), (_, img)) in enumerate(zip(offsets, tiles)):
         h, w = img.geometry.shape
         sl = (slice(oy, oy + h), slice(ox, ox + w))
-        valid = img.valid_mask
-        values[sl] = np.where(valid, img.values, values[sl])
-        owner_block = owner[sl]
-        owner[sl] = np.where(valid, i, owner_block)
+        np.copyto(values[sl], img.values, where=img.valid_mask)
+        np.copyto(owner[sl], i, where=img.valid_mask)
     composite = ScalarImage(geometry, values, owner < 0)
 
-    # seam statistics over 4-neighbour pairs with different owners
-    pair_stats = {}
-
-    def accumulate(o1, o2, v1, v2, e_mid, n_mid):
-        both = (o1 >= 0) & (o2 >= 0) & (o1 != o2)
-        if not both.any():
-            return
-        lo = np.minimum(o1[both], o2[both])
-        hi = np.maximum(o1[both], o2[both])
-        jump = np.abs(v1[both] - v2[both])
-        em = e_mid[both]
-        nm = n_mid[both]
-        for a, b in {(int(x), int(y)) for x, y in zip(lo, hi)}:
-            sel = (lo == a) & (hi == b)
-            key = (a, b)
-            tot, cnt, se, sn = pair_stats.get(key, (0.0, 0, 0.0, 0.0))
-            pair_stats[key] = (
-                tot + float(np.sum(jump[sel])),
-                cnt + int(np.sum(sel)),
-                se + float(np.sum(em[sel])),
-                sn + float(np.sum(nm[sel])),
-            )
-
+    # seam statistics over 4-neighbour pairs with different owners: the
+    # east-west pairs at their easting midpoints, then the north-south
+    # pairs; per owner pair (lo, hi), keyed lo * len(tiles) + hi, the sums
+    # of the jumps, the pairs, their eastings and their northings
+    sums = {}
     xs = np.arange(width) * sx + base_e
-    ys = np.arange(height) * sy + base_n
-    ee = np.broadcast_to(xs, geometry.shape)
-    nn = np.broadcast_to(ys[:, None], geometry.shape)
-    accumulate(
-        owner[:, :-1], owner[:, 1:], values[:, :-1], values[:, 1:],
-        (ee[:, :-1] + ee[:, 1:]) / 2.0, nn[:, :-1],
-    )
-    accumulate(
-        owner[:-1, :], owner[1:, :], values[:-1, :], values[1:, :],
-        ee[:-1, :], (nn[:-1, :] + nn[1:, :]) / 2.0,
-    )
+    ys = np.arange(height)[:, None] * sy + base_n
+    for a, b, e_mid, n_mid in (
+        (np.s_[:, :-1], np.s_[:, 1:], (xs[:-1] + xs[1:]) / 2.0, ys),
+        (np.s_[:-1], np.s_[1:], xs, (ys[:-1] + ys[1:]) / 2.0),
+    ):
+        both = (owner[a] >= 0) & (owner[b] >= 0) & (owner[a] != owner[b])
+        o1, o2 = owner[a][both], owner[b][both]
+        key = np.minimum(o1, o2) * len(tiles) + np.maximum(o1, o2)
+        jump = np.abs(values[a][both] - values[b][both])
+        em = np.broadcast_to(e_mid, both.shape)[both]
+        nm = np.broadcast_to(n_mid, both.shape)[both]
+        for k in np.unique(key).tolist():
+            sel = key == k
+            pair = [np.sum(jump[sel]), np.sum(sel), np.sum(em[sel]), np.sum(nm[sel])]
+            sums[k] = sums.get(k, 0.0) + np.array(pair, dtype=np.float64)
     records = []
-    for (a, b), (tot, cnt, se, sn) in sorted(pair_stats.items()):
-        records.append(
-            SeamRecord(
-                tile_a=tiles[a][0],
-                tile_b=tiles[b][0],
-                easting=se / cnt,
-                northing=sn / cnt,
-                mean_jump=tot / cnt,
-                pixel_pairs=cnt,
-            )
-        )
+    for k in sorted(sums):
+        tot, cnt, se, sn = sums[k].tolist()
+        records.append(SeamRecord(tiles[k // len(tiles)][0], tiles[k % len(tiles)][0],
+                                  se / cnt, sn / cnt, tot / cnt, int(cnt)))
     return composite, records

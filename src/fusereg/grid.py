@@ -25,6 +25,7 @@ from scipy import ndimage
 from .errors import DegenerateImageError, GeometryError, IntensityRangeError, ParameterError
 
 COARSEST_MIN_DIM = 32
+MIN_INTENSITY_RANGE = 1e-12  # narrower valid intensities count as constant
 
 
 @dataclass(frozen=True)
@@ -516,7 +517,7 @@ def normalize_intensity(image: ScalarImage) -> ScalarImage:
         raise DegenerateImageError("image has no valid pixels")
     lo = float(np.min(vals))
     hi = float(np.max(vals))
-    if hi - lo < 1e-12:
+    if hi - lo < MIN_INTENSITY_RANGE:
         raise DegenerateImageError(
             "intensity range %.3g is too small to normalize" % (hi - lo)
         )

@@ -29,6 +29,7 @@ from .grid import DisplacementField, GridGeometry, ScalarImage
 
 DEFAULT_NODATA = -9999.0
 
+# the GridGeometry fields a header stores, written as plain decimal floats
 _HEADER_FLOAT_KEYS = ("spacing_x", "spacing_y", "origin_easting", "origin_northing")
 
 
@@ -78,15 +79,9 @@ def write_raster(
             "%s: a sample outside the nodata mask equals the nodata value %r"
             % (path, DEFAULT_NODATA)
         )
-    lines = [
-        "width = %d" % geometry.width,
-        "height = %d" % geometry.height,
-        "bands = %d" % len(bands),
-        "spacing_x = %r" % geometry.spacing_x,
-        "spacing_y = %r" % geometry.spacing_y,
-        "origin_easting = %r" % geometry.origin_easting,
-        "origin_northing = %r" % geometry.origin_northing,
-    ]
+    lines = ["width = %d" % geometry.width, "height = %d" % geometry.height,
+             "bands = %d" % len(bands)]
+    lines += ["%s = %r" % (k, float(getattr(geometry, k))) for k in _HEADER_FLOAT_KEYS]
     if with_sentinel:
         lines.append("nodata = %r" % DEFAULT_NODATA)
     if wavelengths is not None:
@@ -148,15 +143,9 @@ def read_raster(path):
     if not os.path.exists(path):
         raise FormatError("missing raster payload %s" % path)
     fields = _parse_header(path)
-    try:
-        geometry = GridGeometry(
-            width=fields["width"],
-            height=fields["height"],
-            spacing_x=fields.get("spacing_x", 1.0),
-            spacing_y=fields.get("spacing_y", 1.0),
-            origin_easting=fields.get("origin_easting", 0.0),
-            origin_northing=fields.get("origin_northing", 0.0),
-        )
+    try:  # an absent float key keeps GridGeometry's default
+        geometry = GridGeometry(fields["width"], fields["height"],
+                                **{k: fields[k] for k in _HEADER_FLOAT_KEYS if k in fields})
     except GeometryError as exc:
         raise FormatError("%s: %s" % (_header_path(path), exc)) from exc
     nbands = fields["bands"]

@@ -367,6 +367,39 @@ def test_report_checkerboard_mode(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the pair both commands compare
+
+
+def write_offset_pair(tmp_path, origin):
+    """A 40x40 texture at 1 m cells and a template whose grid starts at ``origin``."""
+    ref = synthetic_texture(GridGeometry(40, 40), seed=1, smoothness=2.0)
+    tpl = synthetic_texture(GridGeometry(40, 40, 1.0, 1.0, *origin), seed=2, smoothness=2.0)
+    write_image(tmp_path / "ref.raster", ref)
+    write_image(tmp_path / "tpl.raster", tpl)
+    return tmp_path / "ref.raster", tmp_path / "tpl.raster"
+
+
+@pytest.mark.parametrize(
+    "command", [("register",), ("report", "--mode", "diff"), ("report", "--mode", "checkerboard")]
+)
+def test_disjoint_pair_exits_4_naming_both_files(tmp_path, capsys, command):
+    ref, tpl = write_offset_pair(tmp_path, (1000.0, 0.0))
+    a, b = ("--ref", "--tpl") if command == ("register",) else ("--a", "--b")
+    assert run(*command, a, ref, b, tpl, "--out", tmp_path / "out" / "x") == 4
+    assert "fusereg: %s and %s share no valid pixel" % (tpl, ref) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_register_refuses_a_template_constant_on_the_shared_pixels(tmp_path, capsys):
+    ref, tpl = write_offset_pair(tmp_path, (39.0, 39.0))  # one pixel in common
+    assert run("register", "--ref", ref, "--tpl", tpl, "--out", tmp_path / "x") == 4
+    err = capsys.readouterr().err
+    assert "fusereg: %s is constant on the pixels it shares with %s" % (tpl, ref) in err
+    # a report compares, it does not register: one shared pixel is enough
+    assert run("report", "--mode", "diff", "--a", ref, "--b", tpl, "--out", tmp_path / "d") == 0
+
+
+# ---------------------------------------------------------------------------
 # mosaic
 
 

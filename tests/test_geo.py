@@ -10,6 +10,7 @@ from fusereg.geo import (
     HyperspectralCube,
     LidarPointCloud,
     PhotoMetadata,
+    SeamRecord,
     crop_to_footprint,
     crop_to_overlap,
     footprint_of,
@@ -101,6 +102,101 @@ def test_from_csv_six_columns_and_header(tmp_path):
     )
     c = LidarPointCloud.from_csv(p)
     np.testing.assert_array_equal(c.agc, [7.5, 8.0])
+
+
+# the refusal of a whole table by the earlier whole-array checks: each
+# check in order over every row, the return-number terms short-circuited
+def prefix_refusal(cols):
+    e, n, z, i, r = cols[:5]
+    for name, a in zip(("easting", "northing", "elevation", "intensity"), (e, n, z, i)):
+        if not np.isfinite(a).all():
+            return "%s contains non-finite entries" % name
+    if not (
+        np.isfinite(r).all() and (r >= 1).all() and (r < 2**63).all() and (r % 1 == 0).all()
+    ):
+        return "return numbers must be integers from 1 to 2**63 - 1"
+    if (i < 0).any():
+        return "intensities must be non-negative"
+    if len(cols) == 6 and not np.isfinite(cols[5]).all():
+        return "agc contains non-finite entries"
+    return None
+
+
+def prefix_bisection(cols):
+    """(first bad row, message) as ``from_csv`` found them by bisection:
+    the shortest refused prefix, and that prefix's refusal."""
+    err = prefix_refusal(cols)
+    if err is None:
+        return None
+    lo, hi = 0, len(cols[0])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        refusal = prefix_refusal([c[:mid] for c in cols])
+        if refusal is None:
+            lo = mid
+        else:
+            hi, err = mid, refusal
+    return hi - 1, err
+
+
+# (column, value) of every per-row fault a point cloud refuses
+ROW_FAULTS = [(c, v) for c in range(6) for v in (np.nan, np.inf, -np.inf)]
+ROW_FAULTS += [(3, -4.0), (4, 0.0), (4, -1.0), (4, 1.5), (4, 1e30), (4, 2.0**63)]
+
+
+def test_first_bad_row_matches_the_prefix_bisection():
+    rng = np.random.default_rng(20140627)
+    refused = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        ncols = int(rng.choice([5, 6]))
+        cols = [rng.uniform(0.0, 100.0, n) for _ in range(4)]
+        cols.append(rng.integers(1, 5, n).astype(float))
+        cols += [rng.uniform(0.0, 5.0, n)] * (ncols == 6)
+        rows = rng.integers(n, size=2)  # two faults often share a row
+        for _ in range(int(rng.integers(0, 4))):
+            col, value = ROW_FAULTS[int(rng.integers(len(ROW_FAULTS)))]
+            if col < ncols:
+                cols[col][int(rng.choice(rows))] = value
+        with np.errstate(invalid="ignore"):  # the oracle's inf % 1
+            expected = prefix_bisection(cols)
+        if expected is None:
+            assert len(LidarPointCloud(*cols)) == n
+            continue
+        refused += 1
+        with pytest.raises(FormatError) as info:
+            LidarPointCloud(*cols)
+        assert (info.value.row, str(info.value)) == expected
+    assert refused > 200
+
+
+def test_from_csv_builds_the_cloud_once_on_a_refused_file(tmp_path, monkeypatch):
+    p = tmp_path / "bad.csv"
+    p.write_text("1,2,3,4,1\n" * 999 + "1,2,3,-4,1\n")
+    calls = []
+    check = LidarPointCloud.__post_init__
+    monkeypatch.setattr(
+        LidarPointCloud, "__post_init__", lambda self: calls.append(len(self.easting)) or check(self)
+    )
+    with pytest.raises(FormatError, match=r"bad\.csv:1000: intensities must be non-negative"):
+        LidarPointCloud.from_csv(p)
+    assert calls == [1000]
+
+
+def test_whole_array_faults_come_before_bad_rows():
+    with pytest.raises(FormatError, match="differ in length") as info:
+        tiny_cloud(easting=np.array([np.nan, 1.0, 2.0, 3.0]), agc=np.ones(3))
+    assert info.value.row is None
+    with pytest.raises(FormatError, match="return numbers") as info:
+        tiny_cloud(easting=np.array([np.nan, 1.0, 2.0, 3.0]), return_number=np.ones(4, complex))
+    assert info.value.row is None
+    # between two whole-array faults, the order is the checks' own
+    with pytest.raises(FormatError, match="northing must be 1-D"):
+        tiny_cloud(northing=np.ones((2, 2)), elevation=np.ones(3))
+    with pytest.raises(FormatError, match="return numbers"):
+        tiny_cloud(return_number=np.ones(4, complex), agc=np.ones(3))
+    with pytest.raises(FormatError, match="point cloud is empty"):
+        LidarPointCloud(*[np.ones(0)] * 4, np.ones(0, complex))
 
 
 def test_from_csv_errors(tmp_path):
@@ -570,9 +666,90 @@ def test_mosaic_rejects_misaligned_tiles():
         mosaic([])
 
 
-def test_seam_record_text():
-    from fusereg.geo import SeamRecord
+def set_loop_mosaic(tiles):
+    """The earlier composite and seam loop, kept as the oracle: ``np.where``
+    pastes, full-grid midpoints and a set of owner pairs per direction."""
+    g0 = tiles[0][1].geometry
+    sx, sy = g0.spacing_x, g0.spacing_y
+    base_e = min(img.geometry.origin_easting for _, img in tiles)
+    base_n = min(img.geometry.origin_northing for _, img in tiles)
+    offsets = [(int(np.rint((img.geometry.origin_easting - base_e) / sx)),
+                int(np.rint((img.geometry.origin_northing - base_n) / sy))) for _, img in tiles]
+    width = max(ox + img.geometry.width for (ox, _), (_, img) in zip(offsets, tiles))
+    height = max(oy + img.geometry.height for (_, oy), (_, img) in zip(offsets, tiles))
+    values = np.zeros((height, width))
+    owner = np.full((height, width), -1, dtype=np.int64)
+    for i, ((ox, oy), (_, img)) in enumerate(zip(offsets, tiles)):
+        h, w = img.geometry.shape
+        sl = (slice(oy, oy + h), slice(ox, ox + w))
+        values[sl] = np.where(img.valid_mask, img.values, values[sl])
+        owner[sl] = np.where(img.valid_mask, i, owner[sl])
+    pair_stats = {}
 
+    def accumulate(o1, o2, v1, v2, e_mid, n_mid):
+        both = (o1 >= 0) & (o2 >= 0) & (o1 != o2)
+        if not both.any():
+            return
+        lo = np.minimum(o1[both], o2[both])
+        hi = np.maximum(o1[both], o2[both])
+        jump = np.abs(v1[both] - v2[both])
+        em = e_mid[both]
+        nm = n_mid[both]
+        for a, b in {(int(x), int(y)) for x, y in zip(lo, hi)}:
+            sel = (lo == a) & (hi == b)
+            tot, cnt, se, sn = pair_stats.get((a, b), (0.0, 0, 0.0, 0.0))
+            pair_stats[(a, b)] = (
+                tot + float(np.sum(jump[sel])),
+                cnt + int(np.sum(sel)),
+                se + float(np.sum(em[sel])),
+                sn + float(np.sum(nm[sel])),
+            )
+
+    ee = np.broadcast_to(np.arange(width) * sx + base_e, (height, width))
+    nn = np.broadcast_to((np.arange(height) * sy + base_n)[:, None], (height, width))
+    accumulate(owner[:, :-1], owner[:, 1:], values[:, :-1], values[:, 1:],
+               (ee[:, :-1] + ee[:, 1:]) / 2.0, nn[:, :-1])
+    accumulate(owner[:-1, :], owner[1:, :], values[:-1, :], values[1:, :],
+               ee[:-1, :], (nn[:-1, :] + nn[1:, :]) / 2.0)
+    records = [(tiles[a][0], tiles[b][0], se / cnt, sn / cnt, tot / cnt, cnt)
+               for (a, b), (tot, cnt, se, sn) in sorted(pair_stats.items())]
+    return values, owner < 0, records
+
+
+def random_tiles(rng):
+    sx, sy = (float(rng.choice([1.0, 0.5, 0.37, 2.5])) for _ in range(2))
+    base_e, base_n = (float(rng.choice([0.0, rng.uniform(-1e5, 1e5)])) for _ in range(2))
+    tiles = []
+    for t in range(int(rng.integers(1, 6))):
+        w, h = (int(v) for v in rng.integers(2, 25, 2))
+        ox, oy = (int(v) for v in rng.integers(0, 20, 2))
+        mask = rng.random((h, w)) < rng.choice([0.0, 0.1, 0.5])
+        g = GridGeometry(w, h, sx, sy, base_e + ox * sx, base_n + oy * sy)
+        tiles.append(("t%d" % t, ScalarImage(g, rng.uniform(0, 1, (h, w)), mask)))
+    return tiles
+
+
+def test_mosaic_is_bit_identical_to_the_set_based_seam_loop():
+    rng = np.random.default_rng(7919)
+    cases = [random_tiles(rng) for _ in range(150)]
+    cases.append([("a", tile(0.0, 0.0, np.ones((3, 3)))), ("b", tile(3.0, 3.0, np.ones((2, 2))))])
+    cases.append([("only", tile(1e5, -3e4, rng.uniform(0, 1, (4, 5)), spacing=0.37))])
+    pairs = 0
+    for tiles in cases:
+        values, nodata, records = set_loop_mosaic(tiles)
+        composite, seams = mosaic(tiles)
+        assert composite.values.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(composite.valid_mask, ~nodata)
+        got = [(r.tile_a, r.tile_b, r.easting, r.northing, r.mean_jump, r.pixel_pairs)
+               for r in seams]
+        assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in records]
+        assert [s.to_text() for s in seams] == [SeamRecord(*r).to_text() for r in records]
+        pairs += len(records)
+    assert pairs > 200
+    assert mosaic(cases[-2])[1] == [] and mosaic(cases[-1])[1] == []
+
+
+def test_seam_record_text():
     s = SeamRecord("t1", "t2", 100.5, 200.25, 0.125, 42)
     line = s.to_text()
     assert "t1|t2" in line

@@ -159,6 +159,38 @@ def test_read_raster_missing_files(tmp_path):
         read_raster(p)
 
 
+def test_header_text_keeps_its_format(tmp_path):
+    g = GridGeometry(3, 2, 0.5, 0.25, 355200.0, -5687400.125)
+    mask = np.zeros(g.shape, bool)
+    mask[1, 2] = True
+    write_image(tmp_path / "h.raster", ScalarImage(g, np.ones(g.shape), mask))
+    assert (tmp_path / "h.raster.hdr").read_text() == (
+        "width = 3\nheight = 2\nbands = 1\nspacing_x = 0.5\nspacing_y = 0.25\n"
+        "origin_easting = 355200.0\norigin_northing = -5687400.125\nnodata = -9999.0\n"
+    )
+
+
+def test_geometry_of_numpy_scalars_round_trips(tmp_path):
+    g = GridGeometry(
+        np.int64(4), np.int64(3), np.float64(0.5), 1.0, np.float64(355200.0), np.float64(0.0)
+    )
+    img = ScalarImage(g, np.arange(12.0).reshape(3, 4))
+    write_image(tmp_path / "np.raster", img)
+    header = (tmp_path / "np.raster.hdr").read_text()
+    assert "spacing_x = 0.5\n" in header and "origin_easting = 355200.0\n" in header
+    back = read_image(tmp_path / "np.raster")
+    assert back.geometry == g
+    assert back.values.tobytes() == img.values.tobytes()
+
+
+def test_absent_geometry_keys_keep_the_grid_defaults(tmp_path):
+    p = tmp_path / "d.raster"
+    (tmp_path / "d.raster.hdr").write_text("width = 3\nheight = 2\nbands = 1\nspacing_y = 2.0\n")
+    p.write_bytes(np.zeros(6, dtype="<f4").tobytes())
+    geom, _, _, _ = read_raster(p)
+    assert geom == GridGeometry(3, 2, 1.0, 2.0, 0.0, 0.0)
+
+
 def test_read_raster_header_errors(tmp_path):
     p = tmp_path / "bad.raster"
     p.write_bytes(np.zeros(4, dtype="<f4").tobytes())
