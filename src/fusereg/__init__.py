@@ -4,8 +4,8 @@ The package aligns image pairs from heterogeneous sensors (LiDAR intensity
 grids, hyperspectral composites, frame photos) with a non-parametric
 curvature-regularized deformation model driven by intensity distance
 measures, plus parametric affine baselines, and provides the surrounding
-geospatial plumbing: rasterization, footprint handling, overlap cropping,
-spectral resampling and mosaicking.
+geospatial plumbing: rasterization, photo footprints, spectral
+resampling and mosaicking.
 """
 
 from .affine import AffineParams, affine_to_displacement, register_affine
@@ -36,7 +36,6 @@ from .geo import (
     HyperspectralCube,
     LidarPointCloud,
     PhotoMetadata,
-    crop_to_overlap,
     grey_composite,
     mosaic,
     photo_footprint,
@@ -50,7 +49,6 @@ from .grid import (
     GridGeometry,
     ScalarImage,
     build_pyramid,
-    displacement_to_geometry,
     normalize_intensity,
     prolong,
     resample_to_geometry,
@@ -96,10 +94,8 @@ __all__ = [
     "bilaplacian",
     "build_pyramid",
     "checkerboard",
-    "crop_to_overlap",
     "curvature_energy",
     "difference_map",
-    "displacement_to_geometry",
     "endpoint_error",
     "grey_composite",
     "mean_abs_difference",

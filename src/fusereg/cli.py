@@ -37,7 +37,8 @@ from .errors import (
 from .evaluation import checkerboard, difference_map, mean_abs_difference, registration_summary
 from .grid import (
     MIN_INTENSITY_RANGE,
-    displacement_to_geometry,
+    DisplacementField,
+    ScalarImage,
     normalize_intensity,
     resample_to_geometry,
     warp,
@@ -133,6 +134,25 @@ def cmd_rasterize(args):
     return {"points": args.points}, {"raster": args.out}, {"cell": args.cell}
 
 
+def _shared_pixels(template, reference, tpl_path, ref_path):
+    """Where both images on one grid hold data; a pair that shares no valid
+    pixel is refused."""
+    shared = template.valid_mask & reference.valid_mask
+    if not shared.any():
+        raise DegenerateImageError("%s and %s share no valid pixel" % (tpl_path, ref_path))
+    return shared
+
+
+def _check_registrable(template, reference, tpl_path, ref_path):
+    """The overlap rule of every registration: the pair shares a valid pixel
+    and the template is not constant over the shared pixels."""
+    shared = _shared_pixels(template, reference, tpl_path, ref_path)
+    if np.ptp(template.values[shared]) < MIN_INTENSITY_RANGE:
+        raise DegenerateImageError(
+            "%s is constant on the pixels it shares with %s" % (tpl_path, ref_path)
+        )
+
+
 def _load_pair(ref_path, tpl_path):
     """Both rasters normalized, the template on the reference grid; a pair
     that shares no valid pixel there is refused."""
@@ -140,18 +160,14 @@ def _load_pair(ref_path, tpl_path):
     template = normalize_intensity(raster_io.read_image(tpl_path))
     if template.geometry != reference.geometry:
         template = resample_to_geometry(template, reference.geometry)
-    if not (reference.valid_mask & template.valid_mask).any():
-        raise DegenerateImageError("%s and %s share no valid pixel" % (tpl_path, ref_path))
+    _shared_pixels(template, reference, tpl_path, ref_path)
     return reference, template
 
 
 def cmd_register(args):
     cfg = _build_config(args)
     reference, template = _load_pair(args.ref, args.tpl)
-    if np.ptp(template.values[reference.valid_mask & template.valid_mask]) < MIN_INTENSITY_RANGE:
-        raise DegenerateImageError(
-            "%s is constant on the pixels it shares with %s" % (args.tpl, args.ref)
-        )
+    _check_registrable(template, reference, args.tpl, args.ref)
     outputs = {
         "field": args.out + ".field.raster",
         "registered": args.out + ".registered.raster",
@@ -216,25 +232,54 @@ def _parse_tile_spec(spec: str):
     return spec, None
 
 
+def _window(image: ScalarImage, box) -> ScalarImage:
+    """``image[box]``, a box of row and column slices, on its own sub-grid."""
+    rows, cols = box
+    g = image.geometry
+    sub = replace(
+        g,
+        width=cols.stop - cols.start,
+        height=rows.stop - rows.start,
+        origin_easting=g.origin_easting + cols.start * g.spacing_x,
+        origin_northing=g.origin_northing + rows.start * g.spacing_y,
+    )
+    return ScalarImage(sub, image.values[box].copy(), ~image.valid_mask[box])
+
+
+def _reregister(tile, reference, cfg, tile_path, ref_path):
+    """``tile`` registered on its own grid against ``reference`` over the box
+    of the tile pixels the reference covers; the field is held constant from
+    the box's edge outwards."""
+    on_tile = resample_to_geometry(reference, tile.geometry)
+    _check_registrable(tile, on_tile, tile_path, ref_path)
+    rows, cols = np.nonzero(on_tile.valid_mask)
+    if np.ptp(rows) < 1 or np.ptp(cols) < 1:
+        raise DegenerateImageError(
+            "%s and %s overlap in a window smaller than 2x2 pixels" % (tile_path, ref_path)
+        )
+    box = slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1)
+    u, _ = register_multilevel(_window(tile, box), _window(on_tile, box), cfg)
+    pad = [(s.start, n - s.stop) for s, n in zip(box, tile.geometry.shape)]
+    u_x, u_y = (np.pad(c, pad, mode="edge") for c in (u.u_x, u.u_y))
+    return warp(tile, DisplacementField(tile.geometry, u_x, u_y))
+
+
 def cmd_mosaic(args):
     base = _build_config(args)  # rejects bad flags before any output
     specs = [_parse_tile_spec(s) for s in args.tile]
-    needs_ref = any(alpha is not None for _, alpha in specs)
-    if needs_ref and args.ref is None:
+    # a tile's alpha is refused here, before any raster is read
+    configs = [None if alpha is None else replace(base, alpha=alpha) for _, alpha in specs]
+    if args.ref is None and any(cfg is not None for cfg in configs):
         raise ParameterError("--ref is required when a tile overrides alpha")
     reference = None
     if args.ref is not None:
         reference = normalize_intensity(raster_io.read_image(args.ref))
     tiles = []
-    for path, alpha in specs:
+    for (path, alpha), cfg in zip(specs, configs):
         tile_id = os.path.splitext(os.path.basename(path))[0]
         tile = normalize_intensity(raster_io.read_image(path))
-        if alpha is not None:
-            crop_tile, crop_ref = geo.crop_to_overlap(tile, reference)
-            on_ref = resample_to_geometry(crop_tile, crop_ref.geometry)
-            u, _ = register_multilevel(on_ref, crop_ref, replace(base, alpha=alpha))
-            u_tile = displacement_to_geometry(u, tile.geometry)
-            tile = warp(tile, u_tile)
+        if cfg is not None:
+            tile = _reregister(tile, reference, cfg, path, args.ref)
             log.info("re-registered tile %s with alpha=%g", tile_id, alpha)
         tiles.append((tile_id, tile))
     composite, seams = geo.mosaic(tiles)

@@ -1,5 +1,5 @@
 """Geospatial plumbing: LiDAR rasterization, hyperspectral cubes, photo
-footprints, overlap cropping and mosaicking.
+footprints and mosaicking.
 
 World coordinates are metric easting/northing.  All products end up as
 :class:`ScalarImage` grids so the registration machinery never needs to
@@ -354,15 +354,6 @@ class Footprint:
     def height(self) -> float:
         return self.max_northing - self.min_northing
 
-    def intersect(self, other: "Footprint"):
-        lo_e = max(self.min_easting, other.min_easting)
-        hi_e = min(self.max_easting, other.max_easting)
-        lo_n = max(self.min_northing, other.min_northing)
-        hi_n = min(self.max_northing, other.max_northing)
-        if lo_e >= hi_e or lo_n >= hi_n:
-            return None
-        return Footprint(lo_e, lo_n, hi_e, hi_n)
-
 
 @dataclass(frozen=True)
 class PhotoMetadata:
@@ -396,12 +387,6 @@ def photo_footprint(meta: PhotoMetadata) -> Footprint:
     )
 
 
-def footprint_of(geometry: GridGeometry) -> Footprint:
-    """Cell-edge footprint of a georeferenced grid."""
-    min_e, min_n, max_e, max_n = geometry.bounds()
-    return Footprint(min_e, min_n, max_e, max_n)
-
-
 def geometry_from_footprint(fp: Footprint, width: int, height: int) -> GridGeometry:
     """Grid filling a footprint with the given pixel counts."""
     sx = fp.width / width
@@ -414,45 +399,6 @@ def geometry_from_footprint(fp: Footprint, width: int, height: int) -> GridGeome
         origin_easting=fp.min_easting + sx / 2.0,
         origin_northing=fp.min_northing + sy / 2.0,
     )
-
-
-# ---------------------------------------------------------------------------
-# overlap cropping
-
-
-def _crop_range(origin: float, spacing: float, n: int, lo: float, hi: float):
-    start = int(np.ceil((lo - origin) / spacing - 1e-9))
-    stop = int(np.floor((hi - origin) / spacing + 1e-9))
-    start = max(start, 0)
-    stop = min(stop, n - 1)
-    return start, stop
-
-
-def crop_to_footprint(image: ScalarImage, fp: Footprint) -> ScalarImage:
-    """Sub-grid of pixels whose nodes fall inside the footprint."""
-    g = image.geometry
-    c0, c1 = _crop_range(g.origin_easting, g.spacing_x, g.width, fp.min_easting, fp.max_easting)
-    r0, r1 = _crop_range(g.origin_northing, g.spacing_y, g.height, fp.min_northing, fp.max_northing)
-    if c1 - c0 < 1 or r1 - r0 < 1:
-        raise GeometryError("footprint overlap is smaller than 2x2 pixels")
-    sub = GridGeometry(
-        width=c1 - c0 + 1,
-        height=r1 - r0 + 1,
-        spacing_x=g.spacing_x,
-        spacing_y=g.spacing_y,
-        origin_easting=g.origin_easting + c0 * g.spacing_x,
-        origin_northing=g.origin_northing + r0 * g.spacing_y,
-    )
-    rows, cols = slice(r0, r1 + 1), slice(c0, c1 + 1)
-    return ScalarImage(sub, image.values[rows, cols].copy(), ~image.valid_mask[rows, cols])
-
-
-def crop_to_overlap(a: ScalarImage, b: ScalarImage):
-    """Crop both images to their common world extent."""
-    overlap = footprint_of(a.geometry).intersect(footprint_of(b.geometry))
-    if overlap is None:
-        raise GeometryError("images do not overlap")
-    return crop_to_footprint(a, overlap), crop_to_footprint(b, overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,6 @@ class GridGeometry:
             (np.asarray(northing, dtype=float) - self.origin_northing) / self.spacing_y,
         )
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        """Cell-edge extent as (min_e, min_n, max_e, max_n)."""
-        half_x = 0.5 * self.spacing_x
-        half_y = 0.5 * self.spacing_y
-        return (
-            self.origin_easting - half_x,
-            self.origin_northing - half_y,
-            self.origin_easting + (self.width - 1) * self.spacing_x + half_x,
-            self.origin_northing + (self.height - 1) * self.spacing_y + half_y,
-        )
-
     def coarsened(self) -> "GridGeometry":
         """Geometry of the next pyramid level (spacing doubled, origin kept)."""
         return GridGeometry(
@@ -547,19 +536,3 @@ def resample_to_geometry(
     px, py = image.geometry.world_to_pixel(e, n)
     v, bad = _sample_arrays(image, px, py, mode)
     return ScalarImage(geometry, v, bad)
-
-
-def displacement_to_geometry(
-    u: DisplacementField, geometry: GridGeometry
-) -> DisplacementField:
-    """Carry a displacement field onto another grid.
-
-    Samples the components at the target pixels' world positions (edge
-    clamped) and rescales from source to target pixel units.
-    """
-    xs, ys = _pixel_grid(geometry)
-    e, n = geometry.pixel_to_world(xs, ys)
-    ux, uy = _sample_field(u, *u.geometry.world_to_pixel(e, n))
-    sx = u.geometry.spacing_x / geometry.spacing_x
-    sy = u.geometry.spacing_y / geometry.spacing_y
-    return DisplacementField(geometry, ux * sx, uy * sy)

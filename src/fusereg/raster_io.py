@@ -13,7 +13,8 @@ row major, next to a text sidecar ``<path>.hdr`` of ``key = value`` lines::
     nodata = -9999.0
     wavelengths = 460.0, 549.0, 640.0
 
-``nodata`` and ``wavelengths`` are optional.  The format is deliberately
+``nodata`` and ``wavelengths`` are optional; any other key, or a key given
+twice, is refused.  ``#`` starts a comment.  The format is deliberately
 dumb: self describing, diffable, and readable from any environment without
 a geodata stack.
 """
@@ -31,6 +32,8 @@ DEFAULT_NODATA = -9999.0
 
 # the GridGeometry fields a header stores, written as plain decimal floats
 _HEADER_FLOAT_KEYS = ("spacing_x", "spacing_y", "origin_easting", "origin_northing")
+# every key a header may hold, each at most once
+_HEADER_KEYS = ("width", "height", "bands") + _HEADER_FLOAT_KEYS + ("nodata", "wavelengths")
 
 
 def _header_path(path: str) -> str:
@@ -107,7 +110,12 @@ def _parse_header(path: str) -> dict:
             if "=" not in line:
                 raise FormatError("%s:%d: expected 'key = value'" % (hpath, lineno))
             key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _HEADER_KEYS:
+                raise FormatError("%s:%d: unknown key %r" % (hpath, lineno, key))
+            if key in fields:
+                raise FormatError("%s:%d: repeated key %r" % (hpath, lineno, key))
+            fields[key] = value.strip()
     for key in ("width", "height", "bands"):
         if key not in fields:
             raise FormatError("%s: missing required key %r" % (hpath, key))

@@ -13,10 +13,11 @@ from fusereg.errors import DivergenceError, FormatError
 from fusereg.evaluation import (
     ExperimentScenario,
     SyntheticDeformation,
+    endpoint_error,
     run_experiment,
     synthetic_texture,
 )
-from fusereg.grid import GridGeometry, ScalarImage, warp
+from fusereg.grid import GridGeometry, ScalarImage, resample_to_geometry, warp
 from fusereg.nonparametric import RegistrationConfig
 from fusereg.raster_io import read_field, read_image, read_raster, write_image
 
@@ -484,6 +485,84 @@ def test_mosaic_with_reregistration(tmp_path):
     }
 
 
+def test_mosaic_refuses_a_bad_tile_alpha_before_reading_a_raster(tmp_path, capsys):
+    ref, tpl = write_offset_pair(tmp_path, (1000.0, 0.0))  # registering would exit 4
+    for spec in ("%s:-5" % tpl, "%s:nan" % tpl, "%s:-5" % (tmp_path / "missing.raster")):
+        rc = run("mosaic", "--tile", tpl, "--tile", spec, "--ref", ref, "--out", tmp_path / "m")
+        assert rc == 2, spec
+        assert "alpha must be finite and positive" in capsys.readouterr().err
+
+
+def test_mosaic_tile_on_the_reference_grid_is_registered_as_register_does(tmp_path):
+    ref, tpl = write_pair(tmp_path)
+    flags = ["--measure", "SSD", "--levels", "2", "--max-iters", "30"]
+    assert run("register", "--ref", ref, "--tpl", tpl, "--alpha", "2.5",
+               "--out", tmp_path / "r", *flags) == 0
+    assert run("mosaic", "--tile", tpl + ":2.5", "--ref", ref, "--out", tmp_path / "m", *flags) == 0
+    for suffix in ("", ".hdr"):
+        registered = (tmp_path / ("r.registered.raster" + suffix)).read_bytes()
+        assert (tmp_path / ("m.mosaic.raster" + suffix)).read_bytes() == registered
+    assert (tmp_path / "m.mosaic.raster").read_bytes() != (tmp_path / "tpl.raster").read_bytes()
+
+
+E0, N0 = 355200.0, 5687400.0
+
+
+# tile grid, reference grid, texture grid, the tile pixels scored (the
+# reference's coverage less a 3-pixel band) and the epe_mean bound; seed 7
+# measures 0.154 px (bound margin 0.046) and 0.056 px (0.024), where the
+# zero field scores 0.310 and 0.223 px
+@pytest.mark.parametrize(
+    "tile_g,ref_g,texture_g,box,bound",
+    [
+        (GridGeometry(96, 96, 0.5, 0.5, E0, N0), GridGeometry(96, 96, 0.5, 0.5, E0 + 8.0, N0 + 6.0),
+         GridGeometry(120, 120, 0.5, 0.5, E0 - 5.0, N0 - 5.0), (slice(15, 93), slice(19, 93)), 0.2),
+        (GridGeometry(96, 96), GridGeometry(56, 56, 2.0, 2.0, -8.0, -8.0),
+         GridGeometry(240, 240, 0.5, 0.5, -10.0, -10.0), (slice(3, 93), slice(3, 93)), 0.08),
+    ],
+    ids=["partial-0.5m-georeferenced", "1m-tile-on-2m-reference"],
+)
+def test_mosaic_reregistration_recovers_a_bump(tmp_path, monkeypatch, tile_g, ref_g, texture_g,
+                                               box, bound):
+    texture = synthetic_texture(texture_g, seed=7, smoothness=4.0)
+    bump = SyntheticDeformation("gaussian-bump", amplitude=2.0, sigma=12.0)
+    write_image(tmp_path / "tile.raster", warp(resample_to_geometry(texture, tile_g),
+                                               bump.realized(tile_g)))
+    write_image(tmp_path / "ref.raster", resample_to_geometry(texture, ref_g))
+    fields = []
+
+    def warp_and_keep_the_field(image, u):
+        fields.append(u)
+        return warp(image, u)
+
+    monkeypatch.setattr(cli, "warp", warp_and_keep_the_field)
+    assert run("mosaic", "--tile", "%s:50" % (tmp_path / "tile.raster"),
+               "--ref", tmp_path / "ref.raster", "--measure", "NGF", "--eta", "0.02",
+               "--levels", "3", "--out", tmp_path / "m") == 0
+    _, err = endpoint_error(fields[0], bump.inverse(tile_g), margin=0)
+    assert err[box].mean() < bound
+
+
+@pytest.mark.parametrize(
+    "origin,message",
+    [
+        ((1000.0, 0.0), "%s and %s share no valid pixel"),
+        ((39.0, 0.0), "%s and %s overlap in a window smaller than 2x2 pixels"),
+        ((20.0, 0.0), "%s is constant on the pixels it shares with %s"),
+    ],
+    ids=["disjoint", "one-column", "constant"],
+)
+def test_mosaic_reregistration_refuses_what_register_refuses(tmp_path, capsys, origin, message):
+    ref, tpl = write_offset_pair(tmp_path, origin)
+    if message.startswith("%s is constant"):  # flat over the 20 columns the reference covers
+        tile = read_image(tpl)
+        write_image(tpl, tile.with_values(np.where(np.arange(40) < 20, 0.5, tile.values)))
+    rc = run("mosaic", "--tile", "%s:5" % tpl, "--ref", ref, "--out", tmp_path / "out" / "m")
+    assert rc == 4
+    assert "fusereg: " + message % (tpl, ref) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # global flags
 
@@ -507,11 +586,15 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert manifest["threads"] == 1
 
 
-@pytest.mark.parametrize("line", ["origin_easting = nan", "spacing_x = inf", "width = 1"])
+@pytest.mark.parametrize(
+    "line", ["origin_easting = nan", "spacing_x = inf", "width = 1", "spacng_x = 0.5"]
+)
 def test_report_bad_header_exits_3(tmp_path, line):
     ref, tpl = write_pair(tmp_path)
     hdr = tmp_path / "ref.raster.hdr"
-    hdr.write_text(hdr.read_text() + line + "\n")  # a repeated key overrides
+    key = line.partition(" = ")[0]
+    kept = [ln for ln in hdr.read_text().splitlines() if not ln.startswith(key + " ")]
+    hdr.write_text("\n".join(kept + [line]) + "\n")
     assert run("report", "--mode", "diff", "--a", ref, "--b", tpl, "--out", tmp_path / "r") == 3
 
 

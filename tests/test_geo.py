@@ -1,4 +1,4 @@
-"""Point clouds, cubes, footprints, cropping and mosaics."""
+"""Point clouds, cubes, footprints and mosaics."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,6 @@ from fusereg.geo import (
     LidarPointCloud,
     PhotoMetadata,
     SeamRecord,
-    crop_to_footprint,
-    crop_to_overlap,
-    footprint_of,
     geometry_from_footprint,
     grey_composite,
     mosaic,
@@ -512,16 +509,6 @@ def test_footprint_dimensions_and_validation():
         Footprint(5.0, 0.0, 5.0, 10.0)
 
 
-def test_footprint_intersection():
-    a = Footprint(0.0, 0.0, 10.0, 10.0)
-    b = Footprint(5.0, 5.0, 15.0, 15.0)
-    c = a.intersect(b)
-    assert c == Footprint(5.0, 5.0, 10.0, 10.0)
-    assert a.intersect(Footprint(20.0, 20.0, 30.0, 30.0)) is None
-    # touching edges do not count as overlap
-    assert a.intersect(Footprint(10.0, 0.0, 20.0, 10.0)) is None
-
-
 def test_photo_footprint_nominal_frame():
     meta = PhotoMetadata(
         centre_easting=356000.0, centre_northing=5688000.0,
@@ -541,7 +528,7 @@ def test_photo_metadata_validation():
 
 def test_geometry_footprint_roundtrip():
     g = GridGeometry(40, 25, 0.5, 0.5, 1000.0, 2000.0)
-    fp = footprint_of(g)
+    fp = Footprint(999.75, 1999.75, 1019.75, 2012.25)  # g's cell edges
     back = geometry_from_footprint(fp, g.width, g.height)
     assert back.spacing_x == pytest.approx(g.spacing_x)
     assert back.origin_easting == pytest.approx(g.origin_easting)
@@ -549,47 +536,9 @@ def test_geometry_footprint_roundtrip():
 
 
 def test_geometry_from_footprint_rejects_non_integer_size():
-    fp = footprint_of(GridGeometry(8, 8))
+    fp = Footprint(-0.5, -0.5, 7.5, 7.5)
     with pytest.raises(GeometryError, match="integers"):
         geometry_from_footprint(fp, 8.0, 8)
-
-
-# ---------------------------------------------------------------------------
-# cropping
-
-
-def test_crop_to_footprint_node_selection(rng):
-    g = GridGeometry(10, 10, 1.0, 1.0, 0.0, 0.0)
-    img = ScalarImage(g, rng.uniform(0, 1, g.shape))
-    out = crop_to_footprint(img, Footprint(2.5, 3.5, 7.5, 6.5))
-    assert out.geometry.origin_easting == 3.0
-    assert out.geometry.origin_northing == 4.0
-    assert out.geometry.shape == (3, 5)
-    np.testing.assert_array_equal(out.values, img.values[4:7, 3:8])
-
-
-def test_crop_to_footprint_too_small(rng):
-    g = GridGeometry(10, 10)
-    img = ScalarImage(g, rng.uniform(0, 1, g.shape))
-    with pytest.raises(GeometryError):
-        crop_to_footprint(img, Footprint(2.4, 2.4, 2.6, 2.6))
-
-
-def test_crop_to_overlap(rng):
-    a = ScalarImage(GridGeometry(10, 10, 1.0, 1.0, 0.0, 0.0), rng.uniform(0, 1, (10, 10)))
-    b = ScalarImage(GridGeometry(10, 10, 1.0, 1.0, 4.0, 3.0), rng.uniform(0, 1, (10, 10)))
-    ca, cb = crop_to_overlap(a, b)
-    assert footprint_of(ca.geometry).intersect(footprint_of(cb.geometry)) is not None
-    assert ca.geometry.shape == cb.geometry.shape
-    np.testing.assert_array_equal(ca.values, a.values[3:, 4:])
-    np.testing.assert_array_equal(cb.values, b.values[:7, :6])
-
-
-def test_crop_to_overlap_disjoint(rng):
-    a = ScalarImage(GridGeometry(4, 4, 1.0, 1.0, 0.0, 0.0), rng.uniform(0, 1, (4, 4)))
-    b = ScalarImage(GridGeometry(4, 4, 1.0, 1.0, 100.0, 0.0), rng.uniform(0, 1, (4, 4)))
-    with pytest.raises(GeometryError):
-        crop_to_overlap(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fusereg.grid import (
     _round_half_up,
     _sample_arrays,
     build_pyramid,
-    displacement_to_geometry,
     downsample,
     fill_nodata,
     gradient_axis,
@@ -42,15 +41,6 @@ def test_geometry_world_pixel_roundtrip():
     bx, by = g.world_to_pixel(e, n)
     np.testing.assert_allclose(bx, xs, atol=1e-12)
     np.testing.assert_allclose(by, ys, atol=1e-12)
-
-
-def test_geometry_bounds_are_cell_edges():
-    g = GridGeometry(4, 3, 2.0, 1.0, 100.0, 50.0)
-    min_e, min_n, max_e, max_n = g.bounds()
-    assert min_e == 99.0
-    assert min_n == 49.5
-    assert max_e == 100.0 + 3 * 2.0 + 1.0
-    assert max_n == 50.0 + 2 * 1.0 + 0.5
 
 
 def test_geometry_coarsened_halves_size_doubles_spacing():
@@ -649,16 +639,6 @@ def test_resample_marks_uncovered_pixels():
     assert out.nodata is not None
     assert out.nodata[:, 6:].all()
     assert out.valid_mask[:, :5].all()
-
-
-def test_displacement_to_geometry_rescales_pixel_units():
-    src = GridGeometry(16, 16, 1.0, 1.0, 0.0, 0.0)
-    u = DisplacementField(src, np.full(src.shape, 4.0), np.full(src.shape, 2.0))
-    dst = GridGeometry(8, 8, 2.0, 2.0, 0.0, 0.0)
-    out = displacement_to_geometry(u, dst)
-    # same physical motion, half as many (twice as large) pixels
-    np.testing.assert_allclose(out.u_x, 2.0, atol=1e-12)
-    np.testing.assert_allclose(out.u_y, 1.0, atol=1e-12)
 
 
 def _laplacian_reference(values):

@@ -222,8 +222,20 @@ def test_read_raster_header_errors(tmp_path):
         "origin_easting = nan",
         "origin_northing = -inf",
     ):
-        put_header("width = 2\nheight = 2\nbands = 1\n%s\n" % line)
+        key = line.partition(" = ")[0]
+        kept = [ln for ln in ("width = 2", "height = 2", "bands = 1") if not ln.startswith(key)]
+        put_header("\n".join(kept + [line]) + "\n")
         with pytest.raises(FormatError, match=r"bad\.raster\.hdr: "):
+            read_raster(p)
+
+
+def test_read_raster_refuses_unknown_and_repeated_keys(tmp_path):
+    p = tmp_path / "k.raster"
+    p.write_bytes(np.zeros(4, dtype="<f4").tobytes())
+    for extra, message in (("spacng_x = 0.5", "unknown key 'spacng_x'"),
+                           ("width = 2", "repeated key 'width'")):
+        (tmp_path / "k.raster.hdr").write_text("width = 2\nheight = 2\nbands = 1\n%s\n" % extra)
+        with pytest.raises(FormatError, match=r"k\.raster\.hdr:4: " + message):
             read_raster(p)
 
 
