@@ -103,9 +103,8 @@ def affine_apply(params: AffineParams, x, y):
 
 def affine_to_displacement(params: AffineParams, geometry: GridGeometry) -> DisplacementField:
     """Displacement field u(x) = x - (A x + t) realizing the transform."""
-    xs, ys = _pixel_grid(geometry)
-    px, py = affine_apply(params, xs, ys)
-    return DisplacementField(geometry, xs - px, ys - py)
+    grid = _pixel_grid(geometry)
+    return DisplacementField(geometry, grid - affine_apply(params, *grid))
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +141,13 @@ def _objective(t_img: ScalarImage, r_level, cfg: RegistrationConfig):
     def fun_grad(phat):
         # u = x - p(x) with x = c + S x_hat: the identity gives u = 0
         # exactly, so its pixels sample the template on the node lattice
-        u = DisplacementField(geometry, (sx - phat[0]) * xhat - phat[1] * yhat - phat[4],
-                              (sy - phat[3]) * yhat - phat[2] * xhat - phat[5])
-        warped, dtdx, dtdy = warp_with_jacobian(t_img, u)
+        u = DisplacementField(geometry, ((sx - phat[0]) * xhat - phat[1] * yhat - phat[4],
+                                         (sy - phat[3]) * yhat - phat[2] * xhat - phat[5]))
+        warped, jac = warp_with_jacobian(t_img, u)
         res = _distance(warped, r_level, cfg)
-        wx = res.d_warped * dtdx
-        wy = res.d_warped * dtdy
+        wx, wy = res.d_warped * jac
+        # six separate sums: one reduction over the stacked products would
+        # order the additions differently
         grad = np.array([np.sum(wx * xhat), np.sum(wx * yhat), np.sum(wy * xhat),
                          np.sum(wy * yhat), np.sum(wx), np.sum(wy)])
         return res.value, grad

@@ -223,13 +223,17 @@ def cmd_report(args):
 
 
 def _parse_tile_spec(spec: str):
+    """``PATH`` or ``PATH:ALPHA``.  A suffix that is not a number is
+    refused, unless the whole spec names a file (a POSIX path may hold ``:``)."""
     path, sep, suffix = spec.rpartition(":")
-    if sep and path:
-        try:
-            return path, float(suffix)
-        except ValueError:
-            pass
-    return spec, None
+    if not (sep and path):
+        return spec, None
+    try:
+        return path, float(suffix)
+    except ValueError:
+        if os.path.isfile(spec):
+            return spec, None
+        raise ParameterError("--tile %s: alpha %r is not a number" % (spec, suffix)) from None
 
 
 def _window(image: ScalarImage, box) -> ScalarImage:
@@ -259,9 +263,8 @@ def _reregister(tile, reference, cfg, tile_path, ref_path):
         )
     box = slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1)
     u, _ = register_multilevel(_window(tile, box), _window(on_tile, box), cfg)
-    pad = [(s.start, n - s.stop) for s, n in zip(box, tile.geometry.shape)]
-    u_x, u_y = (np.pad(c, pad, mode="edge") for c in (u.u_x, u.u_y))
-    return warp(tile, DisplacementField(tile.geometry, u_x, u_y))
+    pad = [(0, 0)] + [(s.start, n - s.stop) for s, n in zip(box, tile.geometry.shape)]
+    return warp(tile, DisplacementField(tile.geometry, np.pad(u.values, pad, mode="edge")))
 
 
 def cmd_mosaic(args):

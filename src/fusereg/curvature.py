@@ -37,16 +37,15 @@ from .grid import (
 
 def curvature_energy(u: DisplacementField) -> float:
     """0.5 * (|L u_x|^2 + |L u_y|^2) in pixel units."""
-    lx = laplacian_values(u.u_x)
-    ly = laplacian_values(u.u_y)
+    lx, ly = laplacian_values(u.values)
+    # one sum per component: a single sum over both orders the additions
+    # differently
     return 0.5 * float(np.sum(lx * lx) + np.sum(ly * ly))
 
 
 def bilaplacian(u: DisplacementField) -> DisplacementField:
     """Gradient of :func:`curvature_energy`: B u = L^T (L u) per component."""
-    bx = laplacian_adjoint_values(laplacian_values(u.u_x))
-    by = laplacian_adjoint_values(laplacian_values(u.u_y))
-    return DisplacementField(u.geometry, bx, by)
+    return DisplacementField(u.geometry, laplacian_adjoint_values(laplacian_values(u.values)))
 
 
 # one slot is one level's constant
@@ -142,15 +141,10 @@ class SemiImplicitOperator:
 
     def apply(self, u: DisplacementField) -> DisplacementField:
         """Forward application (I + dt * alpha * B) u."""
-        shape = self.geometry.shape
-        ax = (self.matrix @ u.u_x.ravel()).reshape(shape)
-        ay = (self.matrix @ u.u_y.ravel()).reshape(shape)
-        return DisplacementField(u.geometry, ax, ay)
+        product = self.matrix @ u.values.reshape(2, -1).T
+        return DisplacementField(u.geometry, product.T.reshape(u.values.shape))
 
     def solve(self, rhs: DisplacementField) -> DisplacementField:
         """Solve (I + dt * alpha * B) u = rhs."""
-        shape = self.geometry.shape
-        sol = self._lu.solve(np.column_stack((rhs.u_x.ravel(), rhs.u_y.ravel())))
-        return DisplacementField(
-            rhs.geometry, sol[:, 0].reshape(shape), sol[:, 1].reshape(shape)
-        )
+        sol = self._lu.solve(rhs.values.reshape(2, -1).T)
+        return DisplacementField(rhs.geometry, sol.T.reshape(rhs.values.shape))

@@ -113,9 +113,7 @@ class SyntheticDeformation:
     def realized(self, geometry: GridGeometry) -> DisplacementField:
         """The field sampled on the grid (centre norm equals the amplitude
         for the non-affine kinds)."""
-        xs, ys = _pixel_grid(geometry)
-        ux, uy = self.evaluate(xs, ys, geometry)
-        return DisplacementField(geometry, ux, uy)
+        return DisplacementField(geometry, self.evaluate(*_pixel_grid(geometry), geometry))
 
     def inverse(self, geometry: GridGeometry) -> DisplacementField:
         """Exact field u* with warp(warp(R, u_d), u*) == R.
@@ -123,21 +121,18 @@ class SyntheticDeformation:
         Solves u*(x) = -u_d(z), z = x + u_d(z) by fixed point (closed form
         for affine deformations).
         """
-        xs, ys = _pixel_grid(geometry)
+        grid = _pixel_grid(geometry)
+        xs, ys = grid
         if self.kind == "affine":
             p = self.params
             a_inv = np.linalg.inv(p.matrix)
             zx = a_inv[0, 0] * (xs - p.t_x) + a_inv[0, 1] * (ys - p.t_y)
             zy = a_inv[1, 0] * (xs - p.t_x) + a_inv[1, 1] * (ys - p.t_y)
-            return DisplacementField(geometry, xs - zx, ys - zy)
-        zx = xs.copy()
-        zy = ys.copy()
+            return DisplacementField(geometry, (xs - zx, ys - zy))
+        z = grid
         for _ in range(INVERSE_ITERATIONS):
-            ux, uy = self.evaluate(zx, zy, geometry)
-            zx = xs + ux
-            zy = ys + uy
-        ux, uy = self.evaluate(zx, zy, geometry)
-        return DisplacementField(geometry, -ux, -uy)
+            z = grid + self.evaluate(*z, geometry)
+        return DisplacementField(geometry, np.negative(self.evaluate(*z, geometry)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,8 @@ def endpoint_error(
     """
     if u_est.geometry.shape != u_true.geometry.shape:
         raise ParameterError("fields live on different grids")
-    err = np.sqrt((u_est.u_x - u_true.u_x) ** 2 + (u_est.u_y - u_true.u_y) ** 2)
+    dx, dy = u_est.values - u_true.values
+    err = np.sqrt(dx**2 + dy**2)
     if margin is None:
         margin = int(np.ceil(u_true.max_norm())) + 1
     elif isinstance(margin, bool) or not isinstance(margin, (int, np.integer)) or margin < 0:

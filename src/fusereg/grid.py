@@ -142,25 +142,37 @@ class ScalarImage:
 
 @dataclass
 class DisplacementField:
-    """Pixel-unit displacement (u_x, u_y) on a grid."""
+    """Pixel-unit displacement on a grid: ``values[0]`` is u_x and
+    ``values[1]`` u_y, one float64 ``(2, h, w)`` array."""
 
     geometry: GridGeometry
-    u_x: np.ndarray
-    u_y: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.u_x = _as_float_array(self.u_x, self.geometry.shape, "u_x")
-        self.u_y = _as_float_array(self.u_y, self.geometry.shape, "u_y")
-        if not (np.isfinite(self.u_x).all() and np.isfinite(self.u_y).all()):
+        self.values = _as_float_array(self.values, (2,) + self.geometry.shape, "values")
+        if not np.isfinite(self.values).all():
             raise ParameterError("displacement field contains non-finite values")
+
+    @property
+    def u_x(self) -> np.ndarray:
+        return _read_only(self.values[0])
+
+    @property
+    def u_y(self) -> np.ndarray:
+        return _read_only(self.values[1])
 
     @classmethod
     def zero(cls, geometry: GridGeometry) -> "DisplacementField":
-        z = np.zeros(geometry.shape)
-        return cls(geometry, z, z.copy())
+        return cls(geometry, np.zeros((2,) + geometry.shape))
 
     def max_norm(self) -> float:
-        return float(np.sqrt(np.max(self.u_x * self.u_x + self.u_y * self.u_y)))
+        ux, uy = self.values
+        return float(np.sqrt(np.max(ux * ux + uy * uy)))
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def _check_count(value, name: str):
@@ -290,20 +302,12 @@ def _sample_arrays(image: ScalarImage, xs, ys, mode: str):
     raise ParameterError("unknown sampling mode %r" % mode)
 
 
-def _sample_field(u: DisplacementField, xs, ys):
-    """Both components of ``u`` sampled bilinearly at pixel coordinates,
-    edge clamped."""
-    (ux, uy), _, _ = _bilinear_arrays(np.stack([u.u_x, u.u_y]), None, xs, ys, edge_clamp=True)
-    return ux, uy
-
-
 # one slot is one level's constant
 @functools.lru_cache(maxsize=1)
 def _pixel_grid(geometry: GridGeometry):
-    """Read-only column and row coordinates ``(xs, ys)`` of every pixel."""
-    ys, xs = np.mgrid[0.0:geometry.height, 0.0:geometry.width]
-    xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys
+    """Read-only column and row coordinates of every pixel, one ``(2, h,
+    w)`` array laid out as a displacement field: ``xs, ys = _pixel_grid(g)``."""
+    return _read_only(np.mgrid[0.0:geometry.height, 0.0:geometry.width][::-1])
 
 
 def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> ScalarImage:
@@ -313,9 +317,7 @@ def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> Sc
     nodata.  A zero field reproduces the input bit for bit.
     """
     _require_same_shape(image.geometry, u.geometry, "warp")
-    xs, ys = _pixel_grid(u.geometry)
-    px = xs - u.u_x
-    py = ys - u.u_y
+    px, py = _pixel_grid(u.geometry) - u.values
     v, bad = _sample_arrays(image, px, py, mode)
     return ScalarImage(u.geometry, v, bad)
 
@@ -323,7 +325,8 @@ def warp(image: ScalarImage, u: DisplacementField, mode: str = "bilinear") -> Sc
 def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
     """Edge-clamped warp plus the interpolant's spatial derivative.
 
-    Returns ``(warped, dvdx, dvdy)`` with derivatives in pixel units.
+    Returns ``(warped, jac)``, ``jac`` the derivatives along x and y in
+    pixel units as one ``(2, h, w)`` array, laid out as a displacement field.
     Bilinear only; used by the registration objective, whose force term
     needs exactly this derivative.  Sample points are clamped to the grid
     hull instead of invalidated, which keeps the result (and hence any
@@ -334,9 +337,8 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
     _require_same_shape(image.geometry, u.geometry, "warp")
     if image.nodata is not None:
         raise ParameterError("edge-clamped warp needs a gap-free image")
-    xs, ys = _pixel_grid(u.geometry)
-    px = xs - u.u_x
-    py = ys - u.u_y
+    p = _pixel_grid(u.geometry) - u.values
+    px, py = p
     v, _, (fx, fy, gx, gy, v00, v10, v01, v11) = _bilinear_arrays(
         image.values, None, px, py, edge_clamp=True, cell=True
     )
@@ -344,7 +346,7 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
     x_clamped = (px < 0.0) | (px > w - 1.0)
     y_clamped = (py < 0.0) | (py > h - 1.0)
     # dvdx = gy (v10 - v00) + fy (v11 - v01) and dvdy = gx (v01 - v00) +
-    # fx (v11 - v10), each written into a buffer the warp is done with
+    # fx (v11 - v10), written into the sample points the warp is done with
     dvdx = np.subtract(v10, v00, out=px)
     dvdx *= gy
     dvdy = np.subtract(v01, v00, out=py)
@@ -353,7 +355,7 @@ def warp_with_jacobian(image: ScalarImage, u: DisplacementField):
     dvdy += np.multiply(np.subtract(v11, v10, out=v10), fx, out=v10)
     np.copyto(dvdx, 0.0, where=x_clamped)
     np.copyto(dvdy, 0.0, where=y_clamped)
-    return ScalarImage(u.geometry, v, None), dvdx, dvdy
+    return ScalarImage(u.geometry, v, None), p
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +388,8 @@ def gradient_axis_adjoint(weights: np.ndarray, axis: int) -> np.ndarray:
 
 
 def laplacian_values(values: np.ndarray) -> np.ndarray:
-    """5-point Laplacian in pixel units with boundary rows dropped.
+    """5-point Laplacian in pixel units with boundary rows dropped, of each
+    ``(h, w)`` plane of ``values``.
 
     Boundary second differences use linear extrapolation ghosts, so each
     direction contributes zero on its two boundary planes and any affine
@@ -394,31 +397,31 @@ def laplacian_values(values: np.ndarray) -> np.ndarray:
     """
     out = np.empty_like(values)
     # (v[k+1] - 2 v[k]) + v[k-1] as (-2 v[k] + v[k+1]) + v[k-1]: same roundings
-    inner = np.multiply(values[:, 1:-1], -2.0, out=out[:, 1:-1])
-    inner += values[:, 2:]
-    inner += values[:, :-2]
-    out[:, [0, -1]] = 0.0
-    dy = values[1:-1, :] * -2.0
-    dy += values[2:, :]
-    dy += values[:-2, :]
-    out[1:-1, :] += dy
+    inner = np.multiply(values[..., 1:-1], -2.0, out=out[..., 1:-1])
+    inner += values[..., 2:]
+    inner += values[..., :-2]
+    out[..., [0, -1]] = 0.0
+    dy = values[..., 1:-1, :] * -2.0
+    dy += values[..., 2:, :]
+    dy += values[..., :-2, :]
+    out[..., 1:-1, :] += dy
     return out
 
 
 def laplacian_adjoint_values(weights: np.ndarray) -> np.ndarray:
     """Exact transpose of :func:`laplacian_values`: per pixel t[k+1] -
     2 t[k] + t[k-1] along x, then along y, t the weights, zero on that
-    direction's two boundary planes."""
+    direction's two boundary planes; each ``(h, w)`` plane on its own."""
     out = np.empty_like(weights)
-    tx = weights[:, 1:-1]
-    out[:, :-2] = tx
-    out[:, -2:] = 0.0
-    out[:, 1:-1] -= 2.0 * tx
-    out[:, 2:] += tx
-    ty = weights[1:-1, :]
-    out[:-2, :] += ty
-    out[1:-1, :] -= 2.0 * ty
-    out[2:, :] += ty
+    tx = weights[..., 1:-1]
+    out[..., :-2] = tx
+    out[..., -2:] = 0.0
+    out[..., 1:-1] -= 2.0 * tx
+    out[..., 2:] += tx
+    ty = weights[..., 1:-1, :]
+    out[..., :-2, :] += ty
+    out[..., 1:-1, :] -= 2.0 * ty
+    out[..., 2:, :] += ty
     return out
 
 
@@ -472,9 +475,10 @@ def prolong(u: DisplacementField, fine_geometry: GridGeometry) -> DisplacementFi
             "fine geometry %s is not the parent of coarse %s"
             % (fine_geometry.shape, cg.shape)
         )
-    xs, ys = _pixel_grid(fine_geometry)
-    ux, uy = _sample_field(u, xs / 2.0, ys / 2.0)
-    return DisplacementField(fine_geometry, 2.0 * ux, 2.0 * uy)
+    xs, ys = _pixel_grid(fine_geometry) / 2.0
+    v, _, _ = _bilinear_arrays(u.values, None, xs, ys, edge_clamp=True)
+    v *= 2.0
+    return DisplacementField(fine_geometry, v)
 
 
 # ---------------------------------------------------------------------------

@@ -188,22 +188,23 @@ def _distance(warped, reference, config):
 # a start that descend refuses
 @np.errstate(over="ignore")
 def _objective_full(u, template, reference, config):
-    """Objective value, its two terms, the gradient as one ``(2, h, w)``
-    array, and the warp's Jacobian ``(dtdx, dtdy)``.
+    """Objective value, its two terms, and the gradient and the warp's
+    Jacobian, each one ``(2, h, w)`` array.
 
     The template must be gap free (see :func:`fill_nodata`); it is sampled
     with edge clamping so the objective stays continuous in u.  The
     distance is evaluated over the reference's static valid mask.
     """
-    warped, dtdx, dtdy = warp_with_jacobian(template, u)
+    warped, jac = warp_with_jacobian(template, u)
     res = _distance(warped, reference, config)
     s_val = curvature_energy(u)
     j = res.value + config.alpha * s_val
-    breg = bilaplacian(u)
-    grad = np.empty((2,) + u.geometry.shape)
-    np.add(-res.d_warped * dtdx, config.alpha * breg.u_x, out=grad[0])
-    np.add(-res.d_warped * dtdy, config.alpha * breg.u_y, out=grad[1])
-    return j, res.value, s_val, grad, (dtdx, dtdy)
+    # alpha B u - d jac: IEEE subtraction adds the negation, so this is
+    # (-d jac) + alpha B u to the bit
+    grad = bilaplacian(u).values
+    grad *= config.alpha
+    grad -= res.d_warped * jac
+    return j, res.value, s_val, grad, jac
 
 
 def objective(u, template, reference, config):
@@ -212,7 +213,7 @@ def objective(u, template, reference, config):
     _require_same_shape(template.geometry, u.geometry, "objective")
     reference = _level_reference(reference, config)
     j, _, _, grad, _ = _objective_full(u, fill_nodata(template), reference, config)
-    return j, DisplacementField(u.geometry, grad[0], grad[1])
+    return j, DisplacementField(u.geometry, grad)
 
 
 def _step_norm(x_new, x_old) -> float:
@@ -262,14 +263,13 @@ def _gauss_newton_direction(alpha):
     """Gauss-Newton direction for :func:`_line_search_rule`: a truncated
     preconditioned CG solve of the Gauss-Newton system, stopped at a 10%
     residual (inexact Newton, see :func:`_conjugate_gradient`).  ``rest``
-    is the gradient and the warp Jacobian ``(dtdx, dtdy)`` there, which
-    the Hessian blocks reuse."""
+    is the gradient and the warp Jacobian there, which the Hessian blocks
+    reuse."""
 
     def direction(rest):
-        g, (dtdx, dtdy) = rest
-        h11 = dtdx * dtdx
-        h12 = dtdx * dtdy
-        h22 = dtdy * dtdy
+        g, jac = rest
+        h11, h22 = jac * jac
+        h12 = jac[0] * jac[1]
         trace_mean = float(np.mean(h11 + h22))
         mu = 1e-6 * max(1.0, trace_mean)
         # the DCT inverse of mu_bar I + alpha B_N, mu_bar the mean diagonal
@@ -280,13 +280,14 @@ def _gauss_newton_direction(alpha):
 
         def apply_h(v):
             # row k: h_k1 vx + h_k2 vy + alpha B v_k + mu v_k, left to right
+            b = laplacian_adjoint_values(laplacian_values(v))
+            b *= alpha
             out = np.empty_like(v)
             for k, (ha, hb) in enumerate(((h11, h12), (h12, h22))):
-                b = laplacian_adjoint_values(laplacian_values(v[k]))
                 row = out[k]
                 np.multiply(ha, v[0], out=row)
                 row += np.multiply(hb, v[1], out=tmp)
-                row += np.multiply(alpha, b, out=b)
+                row += b[k]
                 row += np.multiply(mu, v[k], out=tmp)
             return out
 
@@ -312,8 +313,7 @@ def _seed_ratio(s, y, alpha):
     MI and NGF can have negative curvature.
     """
     h, w = s.shape[-2:]
-    bs = bilaplacian(DisplacementField(GridGeometry(w, h), s[0], s[1]))
-    q = alpha * np.stack([bs.u_x, bs.u_y])
+    q = alpha * bilaplacian(DisplacementField(GridGeometry(w, h), s)).values
     ss, sq, qq = _dot(s, s), _dot(s, q), _dot(q, q)
     sy, qy = _dot(s, y), _dot(q, y)
     det = ss * qq - sq * sq
@@ -468,7 +468,7 @@ def register_level(template, reference, u0, config, level=0):
     seed = {}  # the quasi-Newton seed's c and how it was set
 
     def full(x):
-        u = DisplacementField(geometry, x[0], x[1])
+        u = DisplacementField(geometry, x)
         j, terms["D"], terms["S"], grad, jac = _objective_full(u, template, reference, config)
         return j, (grad, jac)
 
@@ -484,7 +484,7 @@ def register_level(template, reference, u0, config, level=0):
         rel_tolerance=config.rel_tolerance,
         callback=record,
     )
-    x0 = np.stack([u0.u_x, u0.u_y])
+    x0 = u0.values
 
     def minimize():
         if config.solver == "semi-implicit":
@@ -523,7 +523,7 @@ def register_level(template, reference, u0, config, level=0):
 
     name = "level %d (%dx%d, %s)" % (level, geometry.width, geometry.height, config.solver)
     x = _run_level(trace, minimize, name, seed_note).x
-    return DisplacementField(geometry, x[0], x[1]), trace
+    return DisplacementField(geometry, x), trace
 
 
 def register_multilevel(template, reference, config):

@@ -189,7 +189,7 @@ def read_image(path) -> ScalarImage:
 
 def write_field(path, u: DisplacementField):
     """Displacement field as a two-band raster (u_x, u_y)."""
-    write_raster(path, u.geometry, [u.u_x, u.u_y])
+    write_raster(path, u.geometry, u.values)
 
 
 def read_field(path) -> DisplacementField:
@@ -198,7 +198,7 @@ def read_field(path) -> DisplacementField:
         raise FormatError("%s: expected two bands, found %d" % (path, len(bands)))
     if mask is not None:
         raise FormatError("%s: displacement fields cannot carry nodata" % path)
-    return DisplacementField(geometry, bands[0], bands[1])
+    return DisplacementField(geometry, bands)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def field_vector(u):
 
 def field_from_vector(geometry, vec):
     """Inverse of :func:`field_vector`."""
-    return DisplacementField(geometry, *np.reshape(vec, (2,) + geometry.shape))
+    return DisplacementField(geometry, np.reshape(vec, (2,) + geometry.shape))
 
 
 def read_pgm(path):

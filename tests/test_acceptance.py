@@ -240,8 +240,8 @@ def test_objective_gradient_matches_finite_differences():
             ref = ScalarImage(geom, rng.uniform(0.05, 0.95, geom.shape))
             u = DisplacementField(
                 geom,
-                rng.uniform(-0.4, 0.4, geom.shape),
-                rng.uniform(-0.4, 0.4, geom.shape),
+                (rng.uniform(-0.4, 0.4, geom.shape),
+                 rng.uniform(-0.4, 0.4, geom.shape)),
             )
             _, grad = objective(u, tpl, ref, cfg)
             for _ in range(2):
@@ -276,7 +276,7 @@ def test_implicit_operator_inverts_and_passes_affine():
     worst_res = 0.0
     for _ in range(5):
         w = DisplacementField(
-            geom, rng.normal(size=geom.shape), rng.normal(size=geom.shape)
+            geom, (rng.normal(size=geom.shape), rng.normal(size=geom.shape))
         )
         v = op.solve(w)
         back = op.apply(v)
@@ -289,7 +289,7 @@ def test_implicit_operator_inverts_and_passes_affine():
 
     ys, xs = np.mgrid[0.0 : 64.0, 0.0 : 64.0]
     u_aff = DisplacementField(
-        geom, 0.02 * xs - 0.015 * ys + 0.8, 0.01 * xs + 0.02 * ys - 1.2
+        geom, (0.02 * xs - 0.015 * ys + 0.8, 0.01 * xs + 0.02 * ys - 1.2)
     )
     sol = op.solve(u_aff)
     app = op.apply(u_aff)

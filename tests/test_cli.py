@@ -493,6 +493,27 @@ def test_mosaic_refuses_a_bad_tile_alpha_before_reading_a_raster(tmp_path, capsy
         assert "alpha must be finite and positive" in capsys.readouterr().err
 
 
+def test_mosaic_refuses_a_tile_alpha_that_is_not_a_number(tmp_path, capsys, monkeypatch):
+    ref, tpl = write_offset_pair(tmp_path, (1000.0, 0.0))
+    read = []
+    monkeypatch.setattr(cli.raster_io, "read_image", lambda path: read.append(path))
+    for spec in ("%s:5e" % tpl, "%s:" % tpl, "%s:one" % (tmp_path / "missing.raster")):
+        rc = run("mosaic", "--tile", tpl, "--tile", spec, "--ref", ref, "--out", tmp_path / "m")
+        assert rc == 2, spec
+        assert "is not a number" in capsys.readouterr().err
+    assert read == []
+
+
+def test_mosaic_takes_a_tile_path_that_holds_a_colon(tmp_path):
+    pa, pb = make_tiles(tmp_path)
+    colon = tmp_path / "x:y.raster"
+    write_image(colon, read_image(pa))
+    assert run("mosaic", "--tile", colon, "--tile", pb, "--out", tmp_path / "m") == 0
+    assert read_image(str(tmp_path / "m.mosaic.raster")).geometry.shape == (8, 16)
+    manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+    assert manifest["config"]["tiles"][0] == {"path": str(colon), "alpha": None}
+
+
 def test_mosaic_tile_on_the_reference_grid_is_registered_as_register_does(tmp_path):
     ref, tpl = write_pair(tmp_path)
     flags = ["--measure", "SSD", "--levels", "2", "--max-iters", "30"]

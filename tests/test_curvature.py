@@ -32,12 +32,12 @@ def affine_field(geometry, a=0.3, b=-0.2, c=1.5, d=0.1, e=0.4, f=-2.0):
     xs, ys = np.meshgrid(
         np.arange(float(geometry.width)), np.arange(float(geometry.height))
     )
-    return DisplacementField(geometry, a * xs + b * ys + c, d * xs + e * ys + f)
+    return DisplacementField(geometry, (a * xs + b * ys + c, d * xs + e * ys + f))
 
 
 def random_field(geometry, rng):
     return DisplacementField(
-        geometry, rng.normal(size=geometry.shape), rng.normal(size=geometry.shape)
+        geometry, (rng.normal(size=geometry.shape), rng.normal(size=geometry.shape))
     )
 
 
@@ -53,7 +53,7 @@ def test_energy_positive_on_curved_field(geom_small):
     xs, ys = np.meshgrid(
         np.arange(float(geom_small.width)), np.arange(float(geom_small.height))
     )
-    u = DisplacementField(geom_small, xs * xs, np.zeros(geom_small.shape))
+    u = DisplacementField(geom_small, (xs * xs, np.zeros(geom_small.shape)))
     assert curvature_energy(u) > 0.0
 
 
@@ -118,8 +118,8 @@ def test_operator_solves_components_independently(width, height, rng):
     rhs = random_field(g, rng)
     both = op.solve(rhs)
     zero = np.zeros(g.shape)
-    alone_x = op.solve(DisplacementField(g, rhs.u_x, zero))
-    alone_y = op.solve(DisplacementField(g, zero, rhs.u_y))
+    alone_x = op.solve(DisplacementField(g, (rhs.u_x, zero)))
+    alone_y = op.solve(DisplacementField(g, (zero, rhs.u_y)))
     np.testing.assert_allclose(both.u_x, alone_x.u_x, rtol=1e-12)
     np.testing.assert_allclose(both.u_y, alone_y.u_y, rtol=1e-12)
 

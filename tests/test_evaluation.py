@@ -165,21 +165,21 @@ def test_inverse_fixed_point_residual():
 def test_endpoint_error_stats_and_margin():
     g = GridGeometry(20, 20)
     zero = DisplacementField.zero(g)
-    est = DisplacementField(g, np.ones(g.shape), np.zeros(g.shape))
+    est = DisplacementField(g, (np.ones(g.shape), np.zeros(g.shape)))
     stats, err = endpoint_error(est, zero, margin=2)
     assert err.shape == g.shape
     assert stats.mean == stats.median == stats.max == 1.0
     # corrupt only the boundary band: interior statistics must not move
-    est.u_x[0, :] = 50.0
+    est.values[0, 0, :] = 50.0
     stats2, _ = endpoint_error(est, zero, margin=2)
     assert stats2.mean == 1.0
 
 
 def test_endpoint_error_default_margin_scales_with_truth():
     g = GridGeometry(20, 20)
-    truth = DisplacementField(g, np.full(g.shape, 2.5), np.zeros(g.shape))
-    est = DisplacementField(g, np.full(g.shape, 2.5), np.zeros(g.shape))
-    est.u_x[:4, :] = -10.0  # inside the default margin band (ceil(2.5)+1 = 4)
+    truth = DisplacementField(g, (np.full(g.shape, 2.5), np.zeros(g.shape)))
+    est = DisplacementField(g, (np.full(g.shape, 2.5), np.zeros(g.shape)))
+    est.values[0, :4, :] = -10.0  # inside the default margin band (ceil(2.5)+1 = 4)
     stats, _ = endpoint_error(est, truth)
     assert stats.max == 0.0
 

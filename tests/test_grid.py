@@ -126,16 +126,25 @@ def test_image_rejects_wrong_shape(geom_small):
 def test_field_max_norm(geom16):
     u = DisplacementField.zero(geom16)
     assert u.max_norm() == 0.0
-    u.u_x[5, 5] = 3.0
-    u.u_y[5, 5] = 4.0
+    u.values[:, 5, 5] = 3.0, 4.0
     assert u.max_norm() == 5.0
+
+
+def test_field_components_are_read_only_views_of_one_array(geom16):
+    u = DisplacementField(geom16, (np.ones(geom16.shape), np.zeros(geom16.shape)))
+    assert u.values.shape == (2,) + geom16.shape and u.values.dtype == np.float64
+    assert np.shares_memory(u.u_x, u.values) and np.shares_memory(u.u_y, u.values)
+    with pytest.raises(ValueError):
+        u.u_x[0, 0] = 2.0
+    with pytest.raises(GeometryError):
+        DisplacementField(geom16, np.zeros(geom16.shape))  # one component
 
 
 def test_field_rejects_nonfinite(geom16):
     bad = np.zeros(geom16.shape)
     bad[0, 0] = np.inf
     with pytest.raises(ParameterError):
-        DisplacementField(geom16, bad, np.zeros(geom16.shape))
+        DisplacementField(geom16, (bad, np.zeros(geom16.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +262,7 @@ def test_warp_zero_field_is_identity(geom_small, rng):
 def test_warp_integer_translation_shifts_values(geom_small, rng):
     img = random_image(geom_small, rng)
     u = DisplacementField(
-        geom_small, np.full(geom_small.shape, 2.0), np.full(geom_small.shape, 1.0)
+        geom_small, (np.full(geom_small.shape, 2.0), np.full(geom_small.shape, 1.0))
     )
     out = warp(img, u)
     # output(x) = image(x - u), so column 2 reads source column 0
@@ -274,8 +283,8 @@ def test_warp_nearest_values_come_from_source(geom_small, rng):
     img = random_image(geom_small, rng)
     u = DisplacementField(
         geom_small,
-        rng.uniform(-2, 2, geom_small.shape),
-        rng.uniform(-2, 2, geom_small.shape),
+        (rng.uniform(-2, 2, geom_small.shape),
+         rng.uniform(-2, 2, geom_small.shape)),
     )
     out = warp(img, u, mode="nearest")
     ok = out.valid_mask
@@ -286,18 +295,19 @@ def test_warp_jacobian_matches_directional_difference(geom16, rng):
     img = random_image(geom16, rng)
     u = DisplacementField(
         geom16,
-        rng.uniform(0.2, 0.8, geom16.shape),
-        rng.uniform(0.2, 0.8, geom16.shape),
+        (rng.uniform(0.2, 0.8, geom16.shape),
+         rng.uniform(0.2, 0.8, geom16.shape)),
     )
-    warped, dvdx, dvdy = warp_with_jacobian(img, u)
+    warped, jac = warp_with_jacobian(img, u)
+    dvdx, dvdy = jac
     h = 1e-7
-    ux = DisplacementField(geom16, u.u_x - h, u.u_y)  # sample point moves +h in x
+    ux = DisplacementField(geom16, (u.u_x - h, u.u_y))  # sample point moves +h in x
     wx = warp(img, ux)
     fd = (wx.values - warped.values) / h
     # compare where the unclamped reference warp is valid
     inside = warp(img, u).valid_mask & wx.valid_mask
     np.testing.assert_allclose(dvdx[inside], fd[inside], atol=1e-5)
-    uy = DisplacementField(geom16, u.u_x, u.u_y - h)
+    uy = DisplacementField(geom16, (u.u_x, u.u_y - h))
     fd = (warp(img, uy).values - warped.values) / h
     np.testing.assert_allclose(dvdy[inside], fd[inside], atol=1e-5)
 
@@ -305,15 +315,15 @@ def test_warp_jacobian_matches_directional_difference(geom16, rng):
 def test_warp_jacobian_edge_clamp_extends_continuously(geom16, rng):
     img = random_image(geom16, rng)
     big = DisplacementField(
-        geom16, np.full(geom16.shape, 30.0), np.zeros(geom16.shape)
+        geom16, (np.full(geom16.shape, 30.0), np.zeros(geom16.shape))
     )
-    warped, dvdx, dvdy = warp_with_jacobian(img, big)
+    warped, jac = warp_with_jacobian(img, big)
     assert warp(img, big).nodata.all()  # the unclamped warp leaves the domain
     assert warped.nodata is None
     # every sample clamps to column 0 and stops responding to u
     want = np.broadcast_to(img.values[:, :1], warped.values.shape)
     np.testing.assert_allclose(warped.values, want, atol=1e-12)
-    assert (dvdx == 0.0).all()
+    assert (jac[0] == 0.0).all()
 
 
 def test_warp_jacobian_edge_clamp_rejects_masked_image(geom16):
@@ -522,7 +532,7 @@ def test_prolong_constant_field_doubles():
     fine = GridGeometry(64, 64)
     coarse = fine.coarsened()
     u = DisplacementField(
-        coarse, np.full(coarse.shape, 1.0), np.full(coarse.shape, 0.5)
+        coarse, (np.full(coarse.shape, 1.0), np.full(coarse.shape, 0.5))
     )
     up = prolong(u, fine)
     np.testing.assert_allclose(up.u_x, 2.0, atol=1e-12)
@@ -533,7 +543,7 @@ def test_prolong_reproduces_coincident_nodes(rng):
     fine = GridGeometry(40, 30)
     coarse = fine.coarsened()
     u = DisplacementField(
-        coarse, rng.normal(size=coarse.shape), rng.normal(size=coarse.shape)
+        coarse, (rng.normal(size=coarse.shape), rng.normal(size=coarse.shape))
     )
     up = prolong(u, fine)
     np.testing.assert_allclose(up.u_x[::2, ::2], 2.0 * u.u_x, atol=1e-12)
@@ -546,7 +556,7 @@ def test_prolong_samples_each_component_on_its_own_terms(rng):
     fine = GridGeometry(21, 15)
     coarse = fine.coarsened()
     u = DisplacementField(
-        coarse, rng.normal(size=coarse.shape), rng.normal(size=coarse.shape)
+        coarse, (rng.normal(size=coarse.shape), rng.normal(size=coarse.shape))
     )
     up = prolong(u, fine)
     for component, got in ((u.u_x, up.u_x), (u.u_y, up.u_y)):
@@ -683,6 +693,17 @@ def test_laplacian_stencils_are_bit_identical_exact_transposes(shape, rng):
     assert np.array_equal(adjoint, forward.T)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (17, 23), (24, 40)])
+def test_laplacian_stencils_take_a_stacked_field_plane_by_plane(shape, rng):
+    values = rng.normal(size=(2,) + shape)
+    values[1] *= 1e3
+    for stencil in (laplacian_values, laplacian_adjoint_values):
+        got = stencil(values)
+        assert got.shape == values.shape
+        for k in range(2):
+            assert got[k].tobytes() == stencil(values[k]).tobytes()
+
+
 def test_pixel_grid_is_a_read_only_memo():
     g = GridGeometry(5, 3, 2.0, 0.5)
     xs, ys = _pixel_grid(g)
@@ -701,8 +722,9 @@ def test_pixel_grid_is_a_read_only_memo():
 def test_warp_with_jacobian_zeroes_clamped_derivatives(rng):
     g = GridGeometry(12, 10)
     image = random_image(g, rng)
-    u = DisplacementField(g, rng.normal(0.0, 4.0, g.shape), rng.normal(0.0, 4.0, g.shape))
-    _, dvdx, dvdy = warp_with_jacobian(image, u)
+    u = DisplacementField(g, (rng.normal(0.0, 4.0, g.shape), rng.normal(0.0, 4.0, g.shape)))
+    _, jac = warp_with_jacobian(image, u)
+    dvdx, dvdy = jac
     xs, ys = np.meshgrid(np.arange(12.0), np.arange(10.0))
     px, py = xs - u.u_x, ys - u.u_y
     outside_x = (px < 0.0) | (px > 11.0)
@@ -752,7 +774,7 @@ def _edge_and_node_field(g, rng):
     ux[-1, :] = xs[-1, :] - (w - 1.0)  # px = w - 1
     uy[:, -1] = ys[:, -1] - (h - 1.0)  # py = h - 1
     ux[0, :] = xs[0, :]  # px = 0
-    return DisplacementField(g, ux, uy)
+    return DisplacementField(g, (ux, uy))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (7, 2), (17, 23)])
@@ -769,10 +791,11 @@ def test_warp_with_jacobian_is_bit_identical_to_the_formulas(shape, rng):
     dvdy = gx * (v01 - v00) + fx * (v11 - v10)
     dvdx[(px < 0.0) | (px > shape[1] - 1.0)] = 0.0
     dvdy[(py < 0.0) | (py > shape[0] - 1.0)] = 0.0
-    warped, got_dx, got_dy = warp_with_jacobian(image, u)
+    warped, jac = warp_with_jacobian(image, u)
+    assert jac.shape == (2,) + shape
     assert warped.values.tobytes() == v.tobytes()
-    assert got_dx.tobytes() == dvdx.tobytes()
-    assert got_dy.tobytes() == dvdy.tobytes()
+    assert jac[0].tobytes() == dvdx.tobytes()
+    assert jac[1].tobytes() == dvdy.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (7, 2), (17, 23)])
@@ -795,9 +818,7 @@ def test_prolong_is_bit_identical_to_the_formulas(rng):
     coarse = fine.coarsened()
     u = _edge_and_node_field(coarse, rng)
     xs, ys = np.meshgrid(np.arange(23.0), np.arange(18.0))
-    (ux, uy), _, _ = _bilinear_reference(
-        np.stack([u.u_x, u.u_y]), None, xs / 2.0, ys / 2.0, True
-    )
+    (ux, uy), _, _ = _bilinear_reference(u.values, None, xs / 2.0, ys / 2.0, True)
     got = prolong(u, fine)
     assert got.u_x.tobytes() == (2.0 * ux).tobytes()
     assert got.u_y.tobytes() == (2.0 * uy).tobytes()
@@ -806,7 +827,7 @@ def test_prolong_is_bit_identical_to_the_formulas(rng):
 def test_warp_with_jacobian_works_in_bounded_memory(rng):
     g = GridGeometry(160, 192)
     image = random_image(g, rng)
-    u = DisplacementField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    u = DisplacementField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
     warp_with_jacobian(image, u)  # fills the pixel-grid memo
     grids = traced_peak(lambda: warp_with_jacobian(image, u)) / (8.0 * 160 * 192)
     # the three outputs, the two sample coordinates and eight kernel

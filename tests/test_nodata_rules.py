@@ -40,7 +40,7 @@ def _scattered(rng, geometry=G):
 
 def _warp(rng, gaps, tmp_path):
     shift = np.full(G.shape, 2.5 if gaps else 0.0)
-    return warp(_image(rng), DisplacementField(G, shift, -shift))
+    return warp(_image(rng), DisplacementField(G, (shift, -shift)))
 
 
 def _resample(rng, gaps, tmp_path):

@@ -14,7 +14,7 @@ from fusereg.curvature import curvature_energy, neumann_solve
 from fusereg.errors import DivergenceError, GeometryError, IntensityRangeError, ParameterError
 from fusereg.cli import PRESETS
 from fusereg.evaluation import SyntheticDeformation, endpoint_error, synthetic_texture
-from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp
+from fusereg.grid import DisplacementField, GridGeometry, ScalarImage, warp, warp_with_jacobian
 from fusereg.nonparametric import (
     SOLVERS,
     RegistrationConfig,
@@ -33,7 +33,7 @@ def translation_pair(n=64, shift=(2.0, 0.0), seed=11, smoothness=2.0):
     g = GridGeometry(n, n)
     ref = synthetic_texture(g, seed=seed, smoothness=smoothness)
     u_d = DisplacementField(
-        g, np.full(g.shape, float(shift[0])), np.full(g.shape, float(shift[1]))
+        g, (np.full(g.shape, float(shift[0])), np.full(g.shape, float(shift[1])))
     )
     tem = warp(ref, u_d)
     return tem, ref
@@ -118,8 +118,8 @@ def test_objective_alpha_linearity(texture64, rng):
     r = texture64.with_values(np.roll(texture64.values, 1, axis=1))
     u = DisplacementField(
         texture64.geometry,
-        rng.uniform(-0.5, 0.5, texture64.geometry.shape),
-        rng.uniform(-0.5, 0.5, texture64.geometry.shape),
+        (rng.uniform(-0.5, 0.5, texture64.geometry.shape),
+         rng.uniform(-0.5, 0.5, texture64.geometry.shape)),
     )
     j1, _ = objective(u, texture64, r, RegistrationConfig(measure="SSD", alpha=1.0))
     j2, _ = objective(u, texture64, r, RegistrationConfig(measure="SSD", alpha=3.0))
@@ -132,7 +132,7 @@ def test_objective_gradient_matches_fd(measure, rng):
     t = ScalarImage(g, rng.uniform(0.05, 0.95, g.shape))
     r = ScalarImage(g, rng.uniform(0.05, 0.95, g.shape))
     u = DisplacementField(
-        g, rng.uniform(-0.4, 0.4, g.shape), rng.uniform(-0.4, 0.4, g.shape)
+        g, (rng.uniform(-0.4, 0.4, g.shape), rng.uniform(-0.4, 0.4, g.shape))
     )
     cfg = RegistrationConfig(measure=measure, alpha=0.5, eta=0.1)
     j, grad = objective(u, t, r, cfg)
@@ -143,6 +143,24 @@ def test_objective_gradient_matches_fd(measure, rng):
     fd = (objective(up, t, r, cfg)[0] - objective(dn, t, r, cfg)[0]) / (2 * h)
     got = float(np.dot(field_vector(grad), d))
     assert got == pytest.approx(fd, rel=1e-4)
+
+
+@pytest.mark.parametrize("measure", ("SSD", "NCC", "MI", "NGF"))
+def test_objective_gradient_is_bit_identical_to_the_per_component_formula(measure, rng):
+    g = GridGeometry(23, 18)
+    t = ScalarImage(g, rng.uniform(0.05, 0.95, g.shape))
+    r = ScalarImage(g, rng.uniform(0.05, 0.95, g.shape))
+    u = DisplacementField(g, rng.normal(0.0, 2.0, (2,) + g.shape))  # some points clamp
+    cfg = RegistrationConfig(measure=measure, alpha=3.7, eta=0.1)
+    _, grad = objective(u, t, r, cfg)
+    # one component at a time: (-d dT/dx) + alpha (B u)_x, and so for y
+    warped, (dtdx, dtdy) = warp_with_jacobian(t, u)
+    res = nonparametric._distance(warped, nonparametric._level_reference(r, cfg), cfg)
+    breg = curvature.bilaplacian(u)
+    want_x = np.add(-res.d_warped * dtdx, cfg.alpha * breg.u_x)
+    want_y = np.add(-res.d_warped * dtdy, cfg.alpha * breg.u_y)
+    assert grad.u_x.tobytes() == want_x.tobytes()
+    assert grad.u_y.tobytes() == want_y.tobytes()
 
 
 @pytest.mark.parametrize("measure", ("SSD", "NCC", "MI", "NGF"))
@@ -220,8 +238,8 @@ def test_translation_recovery_both_schemes():
     tem, ref = translation_pair(n=64, shift=(2.0, 0.0))
     truth = DisplacementField(
         ref.geometry,
-        np.full(ref.geometry.shape, -2.0),
-        np.zeros(ref.geometry.shape),
+        (np.full(ref.geometry.shape, -2.0),
+         np.zeros(ref.geometry.shape)),
     )
     # the diffusion-like scheme wants a much larger pseudo-time step than
     # the quasi-Newton default to finish in a reasonable budget
@@ -581,8 +599,7 @@ def test_seed_ratio_recovers_the_data_curvature(rng):
     alpha, mu = 5.0, 0.003
     g = GridGeometry(64, 48)
     s = _smooth_field(rng, g.shape)
-    bs = curvature.bilaplacian(DisplacementField(g, s[0], s[1]))
-    y = mu * s + alpha * np.stack([bs.u_x, bs.u_y])
+    y = mu * s + alpha * curvature.bilaplacian(DisplacementField(g, s)).values
     c, fitted = nonparametric._seed_ratio(s, y, alpha)
     assert fitted
     assert c == pytest.approx(alpha / mu, rel=1e-9)
@@ -639,7 +656,7 @@ from fusereg.nonparametric import RegistrationConfig, register_multilevel
 
 g = GridGeometry(48, 40)
 ref = synthetic_texture(g, seed=3, smoothness=2.0)
-tem = warp(ref, DisplacementField(g, np.full(g.shape, 0.7), np.full(g.shape, -0.4)))
+tem = warp(ref, DisplacementField(g, (np.full(g.shape, 0.7), np.full(g.shape, -0.4))))
 for solver in ("l-bfgs", "gauss-newton", "trust-region"):
     cfg = RegistrationConfig(measure="SSD", alpha=5.0, solver=solver, max_levels=2,
                              max_iters_per_level=15)
@@ -744,8 +761,8 @@ def test_multilevel_runs_coarse_to_fine():
     assert trace.total_iterations() == sum(lt.iterations for lt in trace.levels)
     truth = DisplacementField(
         ref.geometry,
-        np.full(ref.geometry.shape, -3.0),
-        np.full(ref.geometry.shape, -1.0),
+        (np.full(ref.geometry.shape, -3.0),
+         np.full(ref.geometry.shape, -1.0)),
     )
     stats, _ = endpoint_error(u, truth)
     assert stats.median < 0.05

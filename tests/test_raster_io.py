@@ -58,7 +58,7 @@ def test_multiband_roundtrip_with_wavelengths(tmp_path, rng):
 
 def test_field_roundtrip(tmp_path, rng):
     g = GridGeometry(7, 11)
-    u = DisplacementField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    u = DisplacementField(g, (rng.normal(size=g.shape), rng.normal(size=g.shape)))
     p = tmp_path / "u.field"
     write_field(p, u)
     back = read_field(p)
